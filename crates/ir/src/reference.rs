@@ -1,17 +1,19 @@
 //! The tree-walking reference interpreter (executable specification).
 //!
-//! This is the original `Interp` implementation, preserved verbatim when the
-//! execution core moved to the pre-decoded micro-op stream in
-//! [`crate::interp`]. It walks the `Module` tree directly — cloning each
-//! [`Inst`] at fetch and collecting call arguments into fresh `Vec`s — which
-//! makes it slow but obviously faithful to the instruction semantics
-//! documented on [`Inst`].
+//! This is the original `Interp` implementation, kept when the execution core
+//! moved to the pre-decoded micro-op stream in [`crate::interp`]. It walks the
+//! `Module` tree directly, borrowing each [`Inst`] from the module at fetch
+//! and matching on it in a single [`RefInterp::step_into`] body, so it stays
+//! obviously faithful to the instruction semantics documented on [`Inst`].
+//! [`RefInterp::step_into`] fills a caller-owned [`StepEffect`], so a stepping
+//! loop that reuses one buffer allocates only a callee's register file.
 //!
-//! Its sole consumer is the differential test suite, which runs
-//! [`RefInterp`] and [`crate::interp::Interp`] in lockstep and asserts that
-//! every [`StepEffect`], trap message, resume point, and final memory is
-//! identical. Production code (the simulator, the oracle [`crate::interp::run`])
-//! always uses the decoded core.
+//! Its consumers are the differential test suites, which run [`RefInterp`]
+//! and [`crate::interp::Interp`] in lockstep and assert that every
+//! [`StepEffect`], trap message, resume point, and final memory is identical,
+//! and the independent oracle [`run_ref`], which the fuzz farm and the
+//! benchmark use to check every simulated run's return value and output.
+//! The simulator and the oracle [`crate::interp::run`] use the decoded core.
 
 use crate::function::{BlockId, InstIdx};
 use crate::inst::{AtomicOp, Inst, MemRef, Operand};
@@ -327,17 +329,40 @@ impl<'m> RefInterp<'m> {
         self.frames.last_mut().expect("no frame").regs[r.index()] = v;
     }
 
-    /// Execute one instruction.
+    /// Execute one instruction, returning a freshly allocated effect.
+    ///
+    /// Convenience wrapper over [`RefInterp::step_into`]; stepping loops
+    /// should prefer `step_into` with a reused buffer.
     ///
     /// # Errors
     /// Traps on unaligned accesses, malformed control flow, or stepping a
     /// halted program.
     pub fn step(&mut self, mem: &mut Memory) -> Result<StepEffect, InterpError> {
+        let mut eff = StepEffect::default();
+        self.step_into(mem, &mut eff)?;
+        Ok(eff)
+    }
+
+    /// Execute one instruction, writing its observable effect into `eff`
+    /// (cleared first; its buffers keep their capacity). The instruction is
+    /// borrowed from the module, so the only allocation left on the step
+    /// path is a callee's register file.
+    ///
+    /// # Errors
+    /// Traps on unaligned accesses, malformed control flow, or stepping a
+    /// halted program.
+    pub fn step_into(&mut self, mem: &mut Memory, eff: &mut StepEffect) -> Result<(), InterpError> {
+        eff.kind = EffectKind::Alu;
+        eff.reads.clear();
+        eff.writes.clear();
+        eff.boundary = None;
+        eff.out = None;
         if self.halted {
             return Err(InterpError::Trap("step after halt".into()));
         }
+        let module = self.module;
         let frame = self.frames.last().expect("no frame");
-        let func = self.module.function(frame.func);
+        let func = module.function(frame.func);
         let block = func.block(frame.block);
         let Some(inst) = block.insts.get(frame.idx) else {
             return Err(InterpError::Trap(format!(
@@ -345,38 +370,33 @@ impl<'m> RefInterp<'m> {
                 frame.block, func.name
             )));
         };
-        let inst = inst.clone();
         self.steps += 1;
 
-        let mut eff;
         let mut advanced = false;
-        match &inst {
+        match inst {
             Inst::Binary { op, dst, lhs, rhs } => {
-                eff = StepEffect::new(EffectKind::Alu);
                 let v = op.eval(self.eval(*lhs), self.eval(*rhs));
                 self.set(*dst, v);
             }
             Inst::Mov { dst, src } => {
-                eff = StepEffect::new(EffectKind::Alu);
                 let v = self.eval(*src);
                 self.set(*dst, v);
             }
             Inst::Load { dst, addr } => {
-                eff = StepEffect::new(EffectKind::Load);
+                eff.kind = EffectKind::Load;
                 let a = self.addr_of(addr)?;
                 let v = mem.load(a);
                 eff.reads.push(a);
                 self.set(*dst, v);
             }
             Inst::Store { src, addr } => {
-                eff = StepEffect::new(EffectKind::Store);
+                eff.kind = EffectKind::Store;
                 let a = self.addr_of(addr)?;
                 let v = self.eval(*src);
                 mem.store(a, v);
                 eff.writes.push((a, v));
             }
             Inst::Br { target } => {
-                eff = StepEffect::new(EffectKind::Alu);
                 let fr = self.frames.last_mut().expect("no frame");
                 fr.block = *target;
                 fr.idx = 0;
@@ -387,7 +407,6 @@ impl<'m> RefInterp<'m> {
                 if_true,
                 if_false,
             } => {
-                eff = StepEffect::new(EffectKind::Alu);
                 let t = self.eval(*cond) != 0;
                 let fr = self.frames.last_mut().expect("no frame");
                 fr.block = if t { *if_true } else { *if_false };
@@ -400,20 +419,19 @@ impl<'m> RefInterp<'m> {
                 ret: _,
                 save_regs,
             } => {
-                eff = StepEffect::new(EffectKind::Call);
+                eff.kind = EffectKind::Call;
                 if callee.index() >= self.module.function_count() {
                     return Err(InterpError::Trap(format!("call to unknown {callee}")));
                 }
                 if self.frames.len() >= 4096 {
                     return Err(InterpError::Trap("call stack overflow".into()));
                 }
-                let callee_fn = self.module.function(*callee);
-                let arg_vals: Vec<Word> = args.iter().map(|a| self.eval(*a)).collect();
-                if arg_vals.len() < callee_fn.param_count as usize {
+                let callee_fn = module.function(*callee);
+                if args.len() < callee_fn.param_count as usize {
                     return Err(InterpError::Trap(format!(
                         "call to {} with {} args, needs {}",
                         callee_fn.name,
-                        arg_vals.len(),
+                        args.len(),
                         callee_fn.param_count
                     )));
                 }
@@ -421,7 +439,7 @@ impl<'m> RefInterp<'m> {
                 let (cur_func, cur_block, cur_idx, cur_base, cur_sp) =
                     (fr.func, fr.block, fr.idx, fr.frame_base, fr.sp);
                 let nsave = save_regs.len() as u64;
-                let nargs = arg_vals.len() as u64;
+                let nargs = args.len() as u64;
                 let size = frame::size_words(nsave, nargs) * 8;
                 let base = cur_sp - size;
                 // Spill phase: frame record + saves + args, all real stores.
@@ -436,25 +454,20 @@ impl<'m> RefInterp<'m> {
                 w(mem, frame::CALLER_SP, cur_sp);
                 w(mem, frame::NSAVE, nsave);
                 w(mem, frame::NARGS, nargs);
-                let saves: Vec<Word> = {
-                    let fr = self.frames.last().expect("no frame");
-                    save_regs.iter().map(|r| fr.regs[r.index()]).collect()
-                };
-                for (i, v) in saves.iter().enumerate() {
-                    w(mem, frame::SAVES + i as u64, *v);
+                for (i, r) in save_regs.iter().enumerate() {
+                    w(mem, frame::SAVES + i as u64, self.reg(*r));
                 }
-                for (i, v) in arg_vals.iter().enumerate() {
-                    w(mem, frame::SAVES + nsave + i as u64, *v);
-                }
-                // Enter the callee; parameters arrive in registers (the memory
-                // copy above exists for recovery).
+                // Parameters arrive in the callee's registers; the memory copy
+                // exists for recovery. Operands read registers only, so
+                // evaluating each argument as it is spilled is the same as
+                // evaluating them all first.
                 let mut regs = vec![0; callee_fn.reg_count as usize];
-                for (i, v) in arg_vals
-                    .iter()
-                    .enumerate()
-                    .take(callee_fn.param_count as usize)
-                {
-                    regs[i] = *v;
+                for (i, a) in args.iter().enumerate() {
+                    let v = self.eval(*a);
+                    w(mem, frame::SAVES + nsave + i as u64, v);
+                    if i < callee_fn.param_count as usize {
+                        regs[i] = v;
+                    }
                 }
                 self.frames.push(Frame {
                     func: *callee,
@@ -471,14 +484,14 @@ impl<'m> RefInterp<'m> {
                 });
             }
             Inst::Ret { val } => {
-                eff = StepEffect::new(EffectKind::Ret);
+                eff.kind = EffectKind::Ret;
                 let v = val.map(|v| self.eval(v)).unwrap_or(0);
                 let callee = self.frames.pop().expect("no frame");
                 if self.frames.is_empty() {
                     self.halted = true;
                     self.return_value = Some(v);
                     eff.kind = EffectKind::Halt;
-                    return Ok(eff);
+                    return Ok(());
                 }
                 // Store the return value into the callee's frame record so a
                 // post-call crash can recover it.
@@ -489,23 +502,20 @@ impl<'m> RefInterp<'m> {
                 // recovered and normal execution behave identically), then the
                 // return value register.
                 let caller = self.frames.last().expect("no frame");
-                let call_inst =
-                    self.module.function(caller.func).block(caller.block).insts[caller.idx].clone();
-                let Inst::Call { ret, save_regs, .. } = &call_inst else {
+                let call_inst = &module.function(caller.func).block(caller.block).insts[caller.idx];
+                let Inst::Call { ret, save_regs, .. } = call_inst else {
                     return Err(InterpError::Trap("return to a non-call site".into()));
                 };
-                let mut loads = Vec::new();
                 for (i, r) in save_regs.iter().enumerate() {
                     let a = callee.frame_base + (frame::SAVES + i as u64) * 8;
                     let sv = mem.load(a);
-                    loads.push(a);
+                    eff.reads.push(a);
                     self.set(*r, sv);
                 }
                 if let Some(r) = ret {
-                    loads.push(rv_addr);
+                    eff.reads.push(rv_addr);
                     self.set(*r, v);
                 }
-                eff.reads = loads;
                 let fr = self.frames.last_mut().expect("no frame");
                 fr.idx += 1; // step past the Call
                 advanced = true;
@@ -525,7 +535,7 @@ impl<'m> RefInterp<'m> {
                 src,
                 expected,
             } => {
-                eff = StepEffect::new(EffectKind::Atomic);
+                eff.kind = EffectKind::Atomic;
                 let a = self.addr_of(addr)?;
                 let old = mem.load(a);
                 eff.reads.push(a);
@@ -543,10 +553,10 @@ impl<'m> RefInterp<'m> {
                 self.set(*dst, old);
             }
             Inst::Fence => {
-                eff = StepEffect::new(EffectKind::Fence);
+                eff.kind = EffectKind::Fence;
             }
             Inst::Boundary { id } => {
-                eff = StepEffect::new(EffectKind::Boundary);
+                eff.kind = EffectKind::Boundary;
                 let fr = self.frames.last_mut().expect("no frame");
                 fr.idx += 1;
                 advanced = true;
@@ -556,34 +566,34 @@ impl<'m> RefInterp<'m> {
                 });
             }
             Inst::Ckpt { reg } => {
-                eff = StepEffect::new(EffectKind::Ckpt);
+                eff.kind = EffectKind::Ckpt;
                 let a = layout::ckpt_slot_addr(self.core, *reg);
                 let v = self.reg(*reg);
                 mem.store(a, v);
                 eff.writes.push((a, v));
             }
             Inst::Out { val } => {
-                eff = StepEffect::new(EffectKind::Out);
+                eff.kind = EffectKind::Out;
                 eff.out = Some(self.eval(*val));
             }
             Inst::FlushLine { addr } => {
-                eff = StepEffect::new(EffectKind::Flush);
+                eff.kind = EffectKind::Flush;
                 let a = self.addr_of(addr)?;
                 eff.reads.push(a);
             }
             Inst::PFence => {
-                eff = StepEffect::new(EffectKind::PFence);
+                eff.kind = EffectKind::PFence;
             }
             Inst::Halt => {
-                eff = StepEffect::new(EffectKind::Halt);
+                eff.kind = EffectKind::Halt;
                 self.halted = true;
-                return Ok(eff);
+                return Ok(());
             }
         }
         if !advanced {
             self.frames.last_mut().expect("no frame").idx += 1;
         }
-        Ok(eff)
+        Ok(())
     }
 }
 
@@ -597,11 +607,12 @@ pub fn run_ref(module: &Module, max_steps: u64) -> Result<Outcome, InterpError> 
     let mut mem = Memory::new();
     let mut interp = RefInterp::new(module, 0, &mut mem)?;
     let mut output = Vec::new();
+    let mut eff = StepEffect::default();
     while !interp.is_halted() {
         if interp.steps() >= max_steps {
             return Err(InterpError::StepLimit(max_steps));
         }
-        let eff = interp.step(&mut mem)?;
+        interp.step_into(&mut mem, &mut eff)?;
         if let Some(v) = eff.out {
             output.push(v);
         }

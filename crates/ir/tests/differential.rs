@@ -431,10 +431,97 @@ fn outputs_and_oracle_runs_match() {
         });
         b.push(exit, Inst::Halt);
     });
-    let dec = cwsp_ir::interp::run(&m, 10_000).unwrap();
-    let refr = cwsp_ir::reference::run_ref(&m, 10_000).unwrap();
-    assert_eq!(dec.output, refr.output);
-    assert_eq!(dec.return_value, refr.return_value);
-    assert_eq!(dec.steps, refr.steps);
-    assert_eq!(dec.memory, refr.memory);
+    assert_eq!(
+        cwsp_ir::reference::run_ref(&m, 10_000).unwrap().output,
+        [0, 2, 4]
+    );
+    assert_oracles_agree(&m, 10_000, "outputs");
+}
+
+/// Step `m` three ways in lockstep — [`RefInterp::step`] (a fresh effect per
+/// step), [`RefInterp::step_into`] with one reused buffer, and the decoded
+/// [`Interp::step_into`] with its own reused buffer — asserting identical
+/// effects at every step, then identical outputs, return values, step counts
+/// and final memories. Returns the step count.
+fn assert_buffer_reuse_lockstep(m: &Module, max_steps: u64, label: &str) -> u64 {
+    let (mut mem_a, mut mem_b, mut mem_d) = (Memory::new(), Memory::new(), Memory::new());
+    let mut alloc = RefInterp::new(m, 0, &mut mem_a).expect("reference interp");
+    let mut reuse = RefInterp::new(m, 0, &mut mem_b).expect("reference interp");
+    let mut dec = Interp::new(m, 0, &mut mem_d).expect("decoded interp");
+    let (mut buf, mut dbuf) = (StepEffect::default(), StepEffect::default());
+    let (mut out_b, mut out_d) = (Vec::new(), Vec::new());
+    while !alloc.is_halted() && alloc.steps() < max_steps {
+        let ea = alloc.step(&mut mem_a);
+        let eb = reuse.step_into(&mut mem_b, &mut buf);
+        let ed = dec.step_into(&mut mem_d, &mut dbuf);
+        let step = alloc.steps();
+        assert_eq!(eb, ed, "{label}: result diverges at step {step}");
+        match ea {
+            Ok(ea) => {
+                assert!(eb.is_ok(), "{label}: step {step}");
+                assert_eq!(ea, buf, "{label}: reused buffer diverges at step {step}");
+                assert_eq!(buf, dbuf, "{label}: decoded diverges at step {step}");
+            }
+            Err(e) => {
+                assert_eq!(Err(e), eb, "{label}: trap diverges at step {step}");
+                break;
+            }
+        }
+        out_b.extend(buf.out);
+        out_d.extend(dbuf.out);
+    }
+    assert_eq!(reuse.is_halted(), alloc.is_halted(), "{label}: halt state");
+    assert_eq!(dec.is_halted(), alloc.is_halted(), "{label}: halt state");
+    assert_eq!(out_b, out_d, "{label}: outputs");
+    assert_eq!(
+        reuse.return_value(),
+        alloc.return_value(),
+        "{label}: retval"
+    );
+    assert_eq!(dec.return_value(), alloc.return_value(), "{label}: retval");
+    assert_eq!(reuse.steps(), alloc.steps(), "{label}: steps");
+    assert_eq!(dec.steps(), alloc.steps(), "{label}: steps");
+    assert_eq!(mem_b, mem_a, "{label}: final memories");
+    assert_eq!(mem_d, mem_a, "{label}: final memories");
+    alloc.steps()
+}
+
+/// The oracle (`run_ref`, now stepping through one reused buffer) against
+/// the decoded core's `run`.
+fn assert_oracles_agree(m: &Module, max_steps: u64, label: &str) {
+    let refr = cwsp_ir::reference::run_ref(m, max_steps);
+    let dec = cwsp_ir::interp::run(m, max_steps);
+    match (refr, dec) {
+        (Ok(r), Ok(d)) => {
+            assert_eq!(r.output, d.output, "{label}: oracle output");
+            assert_eq!(r.return_value, d.return_value, "{label}: oracle retval");
+            assert_eq!(r.steps, d.steps, "{label}: oracle steps");
+            assert_eq!(r.memory, d.memory, "{label}: oracle memory");
+        }
+        (r, d) => assert_eq!(r.err(), d.err(), "{label}: oracle errors"),
+    }
+}
+
+#[test]
+fn reused_reference_buffer_matches_over_every_workload() {
+    let workloads = cwsp_workloads::all();
+    assert_eq!(workloads.len(), 38);
+    for w in &workloads {
+        let label = format!("{:?}/{}", w.suite, w.name);
+        let steps = assert_buffer_reuse_lockstep(&w.module, 1_000_000, &label);
+        assert!(steps < 1_000_000, "{label}: must halt within the budget");
+        assert_oracles_agree(&w.module, 1_000_000, &label);
+    }
+}
+
+#[test]
+fn reused_reference_buffer_matches_over_a_genprog_corpus() {
+    let mut steps = 0;
+    for seed in 0..64u64 {
+        let m = cwsp_core::genprog::generate_default(seed);
+        let label = format!("genprog seed {seed}");
+        steps += assert_buffer_reuse_lockstep(&m, 3_000_000, &label);
+        assert_oracles_agree(&m, 3_000_000, &label);
+    }
+    assert!(steps > 0);
 }

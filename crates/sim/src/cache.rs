@@ -36,27 +36,33 @@ pub struct AccessResult {
     pub writeback: Option<u64>,
 }
 
-/// One way: `last_use == 0` marks an empty slot (ticks start at 1, so a
-/// resident line always has a nonzero timestamp and empty slots are always
-/// preferred as victims by the LRU scan).
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    dirty: bool,
-    last_use: u64,
+/// One way, packed into two words: `[tag | DIRTY, last_use]`.
+/// `last_use == 0` marks an empty slot (ticks start at 1, so a resident line
+/// always has a nonzero timestamp and empty slots are always preferred as
+/// victims by the LRU scan). An empty way is all-zero bits, so a dense tag
+/// store of plain `[u64; 2]`s comes from a zeroed allocation and its pages
+/// are only touched once the simulated program reaches them.
+type Way = [u64; 2];
+
+const EMPTY: Way = [0, 0];
+
+/// The dirty bit, packed into the tag word. Tags are line numbers divided by
+/// the set count, so they never reach bit 63.
+const DIRTY: u64 = 1 << 63;
+
+#[inline]
+fn is_valid(w: &Way) -> bool {
+    w[1] != 0
 }
 
-impl Way {
-    const EMPTY: Way = Way {
-        tag: 0,
-        dirty: false,
-        last_use: 0,
-    };
+#[inline]
+fn tag_of(w: &Way) -> u64 {
+    w[0] & !DIRTY
+}
 
-    #[inline]
-    fn valid(&self) -> bool {
-        self.last_use != 0
-    }
+#[inline]
+fn is_dirty(w: &Way) -> bool {
+    w[0] & DIRTY != 0
 }
 
 /// Set storage: dense flat array for small geometries, sparse map otherwise.
@@ -83,7 +89,7 @@ impl Cache {
     pub fn new(params: CacheParams) -> Self {
         let ways = params.sets() * params.assoc as u64;
         let store = if ways <= DENSE_WAY_LIMIT {
-            SetStore::Dense(vec![Way::EMPTY; ways as usize])
+            SetStore::Dense(vec![EMPTY; ways as usize])
         } else {
             SetStore::Sparse(FxHashMap::default())
         };
@@ -119,7 +125,7 @@ impl Cache {
             }
             SetStore::Sparse(m) => m
                 .entry(index)
-                .or_insert_with(|| vec![Way::EMPTY; assoc].into_boxed_slice()),
+                .or_insert_with(|| vec![EMPTY; assoc].into_boxed_slice()),
         }
     }
 
@@ -151,14 +157,16 @@ impl Cache {
             let mut victim_use = u64::MAX;
             let mut hit = false;
             for (i, w) in ways.iter_mut().enumerate() {
-                if w.valid() && w.tag == tag {
-                    w.last_use = tick;
-                    w.dirty |= write;
+                if is_valid(w) && tag_of(w) == tag {
+                    w[1] = tick;
+                    if write {
+                        w[0] |= DIRTY;
+                    }
                     hit = true;
                     break;
                 }
-                if w.last_use < victim_use {
-                    victim_use = w.last_use;
+                if w[1] < victim_use {
+                    victim_use = w[1];
                     victim = i;
                 }
             }
@@ -169,12 +177,9 @@ impl Cache {
                 }
             } else {
                 let v = &mut ways[victim];
-                let writeback = (v.valid() && v.dirty).then(|| (v.tag * sets + index) * LINE_BYTES);
-                *v = Way {
-                    tag,
-                    dirty: write,
-                    last_use: tick,
-                };
+                let writeback =
+                    (is_valid(v) && is_dirty(v)).then(|| (tag_of(v) * sets + index) * LINE_BYTES);
+                *v = [if write { tag | DIRTY } else { tag }, tick];
                 AccessResult {
                     hit: false,
                     writeback,
@@ -193,7 +198,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let (index, tag) = self.index_tag(addr);
         self.set_ref(index)
-            .is_some_and(|ws| ws.iter().any(|w| w.valid() && w.tag == tag))
+            .is_some_and(|ws| ws.iter().any(|w| is_valid(w) && tag_of(w) == tag))
     }
 
     /// Invalidate `addr`'s line if present; returns whether it was dirty.
@@ -205,10 +210,10 @@ impl Cache {
         }
         let ways = self.set_mut(index);
         for w in ways {
-            if w.valid() && w.tag == tag {
-                let dirty = w.dirty;
-                *w = Way::EMPTY;
-                return dirty;
+            if is_valid(w) && tag_of(w) == tag {
+                let was_dirty = is_dirty(w);
+                *w = EMPTY;
+                return was_dirty;
             }
         }
         false
@@ -217,10 +222,10 @@ impl Cache {
     /// Resident (valid) lines — host-memory introspection for tests/debug.
     pub fn resident_lines(&self) -> usize {
         match &self.store {
-            SetStore::Dense(v) => v.iter().filter(|w| w.valid()).count(),
+            SetStore::Dense(v) => v.iter().filter(|w| is_valid(w)).count(),
             SetStore::Sparse(m) => m
                 .values()
-                .map(|ws| ws.iter().filter(|w| w.valid()).count())
+                .map(|ws| ws.iter().filter(|w| is_valid(w)).count())
                 .sum(),
         }
     }
@@ -236,17 +241,17 @@ impl Cache {
         match &self.store {
             SetStore::Dense(v) => {
                 for (i, w) in v.iter().enumerate() {
-                    if w.valid() && w.dirty {
+                    if is_valid(w) && is_dirty(w) {
                         let index = (i / assoc) as u64;
-                        out.push((w.tag * sets + index) * LINE_BYTES);
+                        out.push((tag_of(w) * sets + index) * LINE_BYTES);
                     }
                 }
             }
             SetStore::Sparse(m) => {
                 for (&index, ws) in m.iter() {
                     for w in ws.iter() {
-                        if w.valid() && w.dirty {
-                            out.push((w.tag * sets + index) * LINE_BYTES);
+                        if is_valid(w) && is_dirty(w) {
+                            out.push((tag_of(w) * sets + index) * LINE_BYTES);
                         }
                     }
                 }

@@ -434,7 +434,7 @@ impl<'m> Machine<'m> {
                 pb: c
                     .pb
                     .entries()
-                    .map(|e| (e.addr, e.region.0, e.sent))
+                    .map(|(e, sent)| (e.addr, e.region.0, sent))
                     .collect(),
                 pending: c.pending_pb.iter().map(|&(a, _)| a).collect(),
                 sync_pending: c.sync_writes.iter().map(|&(a, _)| a).collect(),
@@ -853,24 +853,13 @@ impl<'m> Machine<'m> {
         for k in 0..ncores {
             let i = (cycle as usize + k) % ncores;
             let core = &mut self.cores[i];
-            if let Some(entry) = core.pb.next_unsent() {
-                let mc = self.cfg.mc_of(entry.addr);
+            if let Some(&e) = core.pb.next_unsent() {
+                let mc = self.cfg.mc_of(e.addr);
                 let skew = self.cfg.mc_numa_skew_cycles * mc as u64;
-                let (seq, region, addr, data, log) = (
-                    entry.seq,
-                    entry.region,
-                    entry.addr,
-                    entry.data,
-                    entry.log_bit,
-                );
-                if self
-                    .path
-                    .try_send(cycle, i, seq, region, addr, data, log, mc, skew)
-                {
-                    if let Some(e) = core.pb.next_unsent() {
-                        debug_assert_eq!(e.seq, seq);
-                        e.sent = true;
-                    }
+                if self.path.try_send(
+                    cycle, i, e.seq, e.region, e.addr, e.data, e.log_bit, mc, skew,
+                ) {
+                    core.pb.mark_sent();
                 }
             }
         }

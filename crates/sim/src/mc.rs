@@ -89,15 +89,14 @@ impl MemoryController {
         log_bit: bool,
         nvm: &mut Memory,
     ) -> bool {
-        self.accept_inner(cycle, region, addr, data, log_bit, nvm, true)
+        self.accept_inner(cycle, region, addr, data, log_bit, Some(nvm))
     }
 
     /// Timing-only acceptance: occupies a WPQ slot and charges drain time but
     /// does not touch the NVM image (used for cacheline schemes whose line
     /// payloads the simulator does not materialize).
     pub fn accept_timing_only(&mut self, cycle: u64, region: DynRegionId, addr: Word) -> bool {
-        let mut scratch = Memory::new();
-        let ok = self.accept_inner(cycle, region, addr, 0, false, &mut scratch, false);
+        let ok = self.accept_inner(cycle, region, addr, 0, false, None);
         if ok {
             // A cacheline entry writes 8 data words plus an 8-word redo/undo
             // log record (Capri's §II-D write amplification); accept_inner
@@ -107,7 +106,9 @@ impl MemoryController {
         ok
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Shared acceptance path. With `nvm == None` (timing only) the NVM
+    /// image is neither logged nor written; only the WPQ slot and drain time
+    /// are charged.
     fn accept_inner(
         &mut self,
         cycle: u64,
@@ -115,22 +116,20 @@ impl MemoryController {
         addr: Word,
         data: Word,
         log_bit: bool,
-        nvm: &mut Memory,
-        apply: bool,
+        nvm: Option<&mut Memory>,
     ) -> bool {
         if !self.wpq_has_space() {
             return false;
         }
-        let speculative = log_bit && self.nonspec_horizon.is_none_or(|h| region > h);
         let mut cost = self.drain_cycles;
-        if speculative {
-            let old = nvm.load(addr);
-            self.logs.entry(region).or_default().push((addr, old));
-            self.log_appends += 1;
-            self.nvm_writes += 2; // log record: address + old value
-            cost += self.log_extra_cycles;
-        }
-        if apply {
+        if let Some(nvm) = nvm {
+            if log_bit && self.nonspec_horizon.is_none_or(|h| region > h) {
+                let old = nvm.load(addr);
+                self.logs.entry(region).or_default().push((addr, old));
+                self.log_appends += 1;
+                self.nvm_writes += 2; // log record: address + old value
+                cost += self.log_extra_cycles;
+            }
             nvm.store(addr, data);
         }
         self.nvm_writes += 1;

@@ -32,15 +32,19 @@ pub struct PbEntry {
     pub data: Word,
     /// Whether the store is speculative and must be undo-logged at the MC.
     pub log_bit: bool,
-    /// Whether the entry has been sent down the persist path.
-    pub sent: bool,
 }
 
 /// The per-core persist buffer.
+///
+/// Sends are FIFO and acks pop from the head, so the entries already sent
+/// down the persist path always form a prefix of the buffer; `sent` is that
+/// prefix's length and the single source of truth for every entry's
+/// sent/unsent state.
 #[derive(Debug, Clone, Default)]
 pub struct PersistBuffer {
     cap: usize,
     entries: VecDeque<PbEntry>,
+    sent: usize,
     next_seq: u64,
 }
 
@@ -50,6 +54,7 @@ impl PersistBuffer {
         PersistBuffer {
             cap,
             entries: VecDeque::new(),
+            sent: 0,
             next_seq: 0,
         }
     }
@@ -84,14 +89,19 @@ impl PersistBuffer {
             addr,
             data,
             log_bit,
-            sent: false,
         });
         seq
     }
 
     /// The oldest unsent entry, if any (the persist path sends in order).
-    pub fn next_unsent(&mut self) -> Option<&mut PbEntry> {
-        self.entries.iter_mut().find(|e| !e.sent)
+    pub fn next_unsent(&self) -> Option<&PbEntry> {
+        self.entries.get(self.sent)
+    }
+
+    /// Record that [`PersistBuffer::next_unsent`] went down the persist path.
+    pub fn mark_sent(&mut self) {
+        debug_assert!(self.sent < self.entries.len(), "no unsent entry");
+        self.sent += 1;
     }
 
     /// Deallocate `seq` (its data reached the WPQ). Acks arrive in FIFO order
@@ -100,6 +110,7 @@ impl PersistBuffer {
     pub fn complete(&mut self, seq: u64) {
         while self.entries.front().is_some_and(|head| head.seq <= seq) {
             self.entries.pop_front();
+            self.sent = self.sent.saturating_sub(1);
         }
     }
 
@@ -111,14 +122,17 @@ impl PersistBuffer {
 
     /// Whether any entry still awaits its persist-path send.
     pub fn has_unsent(&self) -> bool {
-        self.entries.iter().any(|e| !e.sent)
+        self.sent < self.entries.len()
     }
 
-    /// Every live entry in issue order — the persist-buffer slice of the
-    /// crash forensics frontier (sent entries are on the wire; unsent ones
-    /// never left the core).
-    pub fn entries(&self) -> impl Iterator<Item = &PbEntry> {
-        self.entries.iter()
+    /// Every live entry in issue order, each with whether it was sent — the
+    /// persist-buffer slice of the crash forensics frontier (sent entries
+    /// are on the wire; unsent ones never left the core).
+    pub fn entries(&self) -> impl Iterator<Item = (&PbEntry, bool)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e, i < self.sent))
     }
 }
 
@@ -289,9 +303,27 @@ impl PersistPath {
         }
     }
 
+    /// The token cap: a burst of four entries.
+    fn cap(&self) -> f64 {
+        4.0 * self.granularity as f64
+    }
+
+    /// One cycle's token accrual: add the bandwidth, then cap. Written as a
+    /// branch rather than `f64::min` — the same bits for every input, but
+    /// without `min`'s NaN handling in the idle-skip replay loops.
+    #[inline]
+    fn accrue(t: f64, bytes_per_cycle: f64, cap: f64) -> f64 {
+        let n = t + bytes_per_cycle;
+        if n < cap {
+            n
+        } else {
+            cap
+        }
+    }
+
     /// Advance one cycle: accrue bandwidth tokens (capped at one entry burst).
     pub fn tick(&mut self) {
-        self.tokens = (self.tokens + self.bytes_per_cycle).min(4.0 * self.granularity as f64);
+        self.tokens = Self::accrue(self.tokens, self.bytes_per_cycle, self.cap());
     }
 
     /// Advance `cycles` idle cycles at once. Bit-identical to `cycles` calls
@@ -299,12 +331,12 @@ impl PersistPath {
     /// replayed (the loop exits early once the cap is reached, after which
     /// further ticks are no-ops).
     pub fn advance(&mut self, cycles: u64) {
-        let cap = 4.0 * self.granularity as f64;
+        let cap = self.cap();
         for _ in 0..cycles {
             if self.tokens >= cap {
                 break;
             }
-            self.tokens = (self.tokens + self.bytes_per_cycle).min(cap);
+            self.tokens = Self::accrue(self.tokens, self.bytes_per_cycle, cap);
         }
     }
 
@@ -320,11 +352,11 @@ impl PersistPath {
         if self.bytes_per_cycle <= 0.0 {
             return u64::MAX;
         }
-        let cap = 4.0 * self.granularity as f64;
+        let cap = self.cap();
         let mut t = self.tokens;
         let mut n = 0u64;
         while t < need {
-            t = (t + self.bytes_per_cycle).min(cap);
+            t = Self::accrue(t, self.bytes_per_cycle, cap);
             n += 1;
         }
         n
@@ -426,15 +458,74 @@ mod tests {
         assert!(!pb.has_space());
         assert_eq!(pb.occupancy(), 2);
         // send in order
-        let e = pb.next_unsent().unwrap();
-        assert_eq!(e.seq, s0);
-        e.sent = true;
+        assert_eq!(pb.next_unsent().unwrap().seq, s0);
+        pb.mark_sent();
         assert_eq!(pb.next_unsent().unwrap().seq, s1);
         // completion frees head entries in order
         pb.complete(s0);
         assert_eq!(pb.occupancy(), 1);
+        assert_eq!(pb.next_unsent().unwrap().seq, s1, "unsent survives the pop");
+        pb.mark_sent();
+        assert!(!pb.has_unsent());
         pb.complete(s1);
-        assert!(pb.is_empty());
+        assert!(pb.is_empty() && !pb.has_unsent());
+    }
+
+    /// xorshift64 — a tiny seeded generator for the property tests below.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn pb_send_cursor_matches_a_linear_model() {
+        // Random push / send / complete sequences against a naive model that
+        // keeps a sent flag per entry and answers every query by scanning.
+        for seed in 1..=64u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let cap = 1 + (next(&mut x) % 12) as usize;
+            let mut pb = PersistBuffer::new(cap);
+            let mut model: Vec<(u64, bool)> = Vec::new();
+            let mut next_seq = 0u64;
+            for step in 0..2_000 {
+                match next(&mut x) % 3 {
+                    0 if model.len() < cap => {
+                        let seq = pb.push(DynRegionId(step), step * 8, step, step % 2 == 0);
+                        assert_eq!(seq, next_seq);
+                        model.push((seq, false));
+                        next_seq += 1;
+                    }
+                    1 => {
+                        let want = model.iter().find(|e| !e.1).map(|e| e.0);
+                        assert_eq!(pb.next_unsent().map(|e| e.seq), want, "seed {seed}");
+                        if want.is_some() {
+                            pb.mark_sent();
+                            model.iter_mut().find(|e| !e.1).unwrap().1 = true;
+                        }
+                    }
+                    _ => {
+                        // Acks only arrive for sent entries, oldest first, and
+                        // may cover several at once.
+                        let sent = model.iter().filter(|e| e.1).count();
+                        if sent > 0 {
+                            let upto = model[(next(&mut x) as usize) % sent].0;
+                            pb.complete(upto);
+                            model.retain(|e| e.0 > upto);
+                        }
+                    }
+                }
+                assert_eq!(pb.occupancy(), model.len(), "seed {seed} step {step}");
+                assert_eq!(pb.has_unsent(), model.iter().any(|e| !e.1));
+                assert_eq!(
+                    pb.next_unsent().map(|e| e.seq),
+                    model.iter().find(|e| !e.1).map(|e| e.0)
+                );
+                let flags: Vec<(u64, bool)> = pb.entries().map(|(e, sent)| (e.seq, sent)).collect();
+                assert_eq!(flags, model, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]
@@ -535,5 +626,72 @@ mod tests {
         assert!(!p.try_send(0, 0, 0, DynRegionId(0), 0, 0, false, 0, 0));
         p.tick();
         assert!(p.try_send(0, 0, 0, DynRegionId(0), 0, 0, false, 0, 0));
+    }
+
+    /// The per-cycle accrual exactly as written before the branch form.
+    fn tick_with_min(t: f64, bytes_per_cycle: f64, granularity: u64) -> f64 {
+        (t + bytes_per_cycle).min(4.0 * granularity as f64)
+    }
+
+    #[test]
+    fn token_replay_is_bit_exact_with_per_cycle_ticks() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for granularity in [8u64, 64] {
+            let cap = 4.0 * granularity as f64;
+            let mut bandwidths = vec![0.0, 1.0 / 3.0, 0.1, 2.0, 8.0, cap, 2.0 * cap];
+            bandwidths.extend((0..24).map(|_| {
+                (next(&mut x) >> 11) as f64 / (1u64 << 53) as f64 * 3.0 * granularity as f64
+            }));
+            for bw in bandwidths {
+                for trial in 0..16 {
+                    let start = match trial {
+                        0 => 0.0,
+                        1 => cap,
+                        _ => (next(&mut x) >> 11) as f64 / (1u64 << 53) as f64 * cap,
+                    };
+                    let mut p = PersistPath::new(1, bw, granularity);
+                    p.tokens = start;
+                    let n = next(&mut x) % 300;
+
+                    // advance(n) == n ticks == n steps of the old `min` form.
+                    let mut ticked = p.clone();
+                    let mut old = start;
+                    for _ in 0..n {
+                        ticked.tick();
+                        old = tick_with_min(old, bw, granularity);
+                        assert_eq!(
+                            ticked.tokens.to_bits(),
+                            old.to_bits(),
+                            "bw {bw} start {start}"
+                        );
+                    }
+                    let mut advanced = p.clone();
+                    advanced.advance(n);
+                    assert_eq!(
+                        advanced.tokens.to_bits(),
+                        ticked.tokens.to_bits(),
+                        "bw {bw} start {start} n {n}"
+                    );
+
+                    // cycles_until_tokens() is the exact first tick with a
+                    // full entry's worth of tokens.
+                    let k = p.cycles_until_tokens();
+                    let need = granularity as f64;
+                    if bw == 0.0 && start < need {
+                        assert_eq!(k, u64::MAX);
+                        continue;
+                    }
+                    let mut t = p.clone();
+                    for i in 0..k {
+                        assert!(t.tokens < need, "ready after {i} < {k} ticks");
+                        t.tick();
+                    }
+                    assert!(t.tokens >= need, "not ready after {k} ticks");
+                    let mut a = p.clone();
+                    a.advance(k);
+                    assert_eq!(a.tokens.to_bits(), t.tokens.to_bits());
+                }
+            }
+        }
     }
 }
