@@ -14,8 +14,10 @@
 //!
 //! It never inspects another function's body (a `Call` only *positions* a
 //! region root). So the diagnostics of a function can be keyed by a content
-//! fingerprint over those three inputs and replayed verbatim on a hit —
-//! [`analyze_incremental`] is byte-identical to a from-scratch
+//! fingerprint over those three inputs (each hashed by structure, through
+//! the IR's and the slices' derived [`Hash`], as the engine's module keys
+//! are) and replayed verbatim on a hit — [`analyze_incremental`] is
+//! byte-identical to a from-scratch
 //! [`crate::analyze`] by construction, a guarantee the repository's
 //! differential suite enforces over every workload and a genprog corpus.
 //!
@@ -47,11 +49,10 @@ use cwsp_ir::function::Function;
 use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
-use cwsp_ir::pretty::fmt_function;
 use cwsp_obs::sink::{NullSink, ObsSink};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// Version salt folded into every fingerprint; bump whenever the pass
@@ -245,30 +246,24 @@ impl AnalysisCache {
 fn ctx_digest(module: &Module) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(FMT_VERSION);
-    for g in module.globals() {
-        h.write(g.name.as_bytes());
-        h.write_u64(g.words);
-        h.write_u64(g.addr);
-        h.write_usize(g.init.len());
-        for &w in &g.init {
-            h.write_u64(w);
-        }
-    }
+    module.globals().hash(&mut h);
     h.finish()
 }
 
 /// Content fingerprint of one function body under `ctx` — the key for body
-/// summaries, and the leaf the SCC merkle folds.
+/// summaries, and the leaf the SCC merkle folds. The body is hashed by
+/// structure: name, counts, every instruction.
 fn body_fp(ctx: u64, f: &Function) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(ctx);
-    h.write(fmt_function(f).as_bytes());
+    f.hash(&mut h);
     h.finish()
 }
 
 /// Full fingerprint for the per-function *diagnostic* entry: body, context,
 /// and the recovery slices of the regions whose boundaries sit in the body
-/// (the checkpoint-coverage pass reads exactly those).
+/// (the checkpoint-coverage pass reads exactly those). A region without a
+/// slice hashes as `None`, distinct from one with an empty slice.
 fn diag_fp(ctx: u64, f: &Function, slices: &SliceTable) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(body_fp(ctx, f));
@@ -276,10 +271,7 @@ fn diag_fp(ctx: u64, f: &Function, slices: &SliceTable) -> u64 {
         for inst in &block.insts {
             if let Inst::Boundary { id } = inst {
                 h.write_u32(id.0);
-                match slices.get(*id) {
-                    Some(s) => h.write(format!("{:?}", s.restores).as_bytes()),
-                    None => h.write_u8(0),
-                }
+                slices.get(*id).map(|s| &s.restores).hash(&mut h);
             }
         }
     }
@@ -691,5 +683,78 @@ mod tests {
             assert_eq!(norm_text(full.clone()), norm_text(inc));
             assert_eq!(pc, inc_pc, "cached persist counters identical");
         }
+    }
+
+    #[test]
+    fn keys_move_with_one_instruction_and_one_restore() {
+        use cwsp_compiler::slice::{RecoverySlice, RematExpr, RsSource, SliceTable};
+        use cwsp_ir::inst::BinOp;
+        use cwsp_ir::types::Reg;
+        let compiled = CwspCompiler::new(CompileOptions::default()).compile(&demo_module(3));
+        let m = &compiled.module;
+        let ctx = ctx_digest(m);
+        let f = m.function(m.entry().unwrap());
+        let region = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .find_map(|i| match i {
+                Inst::Boundary { id } => Some(*id),
+                _ => None,
+            })
+            .expect("compiled main has a boundary");
+        let table = |restores: Option<Vec<(Reg, RsSource)>>| {
+            let mut t = SliceTable::new();
+            if let Some(restores) = restores {
+                t.insert(region, RecoverySlice { restores });
+            }
+            t
+        };
+        let r0 = Reg(0);
+        let expr = |c| {
+            RsSource::Expr(RematExpr::Bin(
+                BinOp::Add,
+                Box::new(RematExpr::Slot(Reg(1))),
+                Box::new(RematExpr::Const(c)),
+            ))
+        };
+        let tables = [
+            table(None),
+            table(Some(vec![])),
+            table(Some(vec![(r0, RsSource::Slot)])),
+            table(Some(vec![(Reg(1), RsSource::Slot)])),
+            table(Some(vec![(r0, RsSource::Const(1))])),
+            table(Some(vec![(r0, RsSource::Const(2))])),
+            table(Some(vec![(r0, expr(1))])),
+            table(Some(vec![(r0, expr(2))])),
+        ];
+        let mut fps: Vec<u64> = tables.iter().map(|t| diag_fp(ctx, f, t)).collect();
+        fps.sort_unstable();
+        fps.dedup();
+        assert_eq!(
+            fps.len(),
+            tables.len(),
+            "every restore change moves diag_fp"
+        );
+        assert_eq!(
+            diag_fp(ctx, f, &tables[2]),
+            diag_fp(ctx, &f.clone(), &tables[2].clone()),
+            "equal content, equal key"
+        );
+
+        // One operand of the first store: both keys move.
+        let mut g = f.clone();
+        let src = g
+            .blocks
+            .iter_mut()
+            .flat_map(|b| b.insts.iter_mut())
+            .find_map(|i| match i {
+                Inst::Store { src, .. } => Some(src),
+                _ => None,
+            })
+            .expect("main stores");
+        *src = Operand::imm(1234);
+        assert_ne!(body_fp(ctx, &g), body_fp(ctx, f));
+        assert_ne!(diag_fp(ctx, &g, &tables[2]), diag_fp(ctx, f, &tables[2]));
     }
 }

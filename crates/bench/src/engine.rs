@@ -11,7 +11,7 @@
 //!   returned results, so figure output stays byte-identical to the serial
 //!   harness.
 //! * **In-process memo** — simulation results are memoized by content
-//!   fingerprint (module text + machine config + scheme; see
+//!   fingerprint (module structure + machine config + scheme; see
 //!   [`crate::fingerprint`]), sharded to keep lock contention off the hot
 //!   path. Baselines and compiled modules are computed once per process no
 //!   matter how many figures ask for them.
@@ -32,9 +32,9 @@
 use crate::fingerprint::{machine_fp, module_fp, options_fp};
 use crate::json::{self, Value};
 use cwsp_compiler::pipeline::{CompileOptions, Compiled, CwspCompiler};
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::module::Module;
 use cwsp_sim::config::SimConfig;
-use cwsp_sim::hash::FxHasher;
 use cwsp_sim::scheme::Scheme;
 use cwsp_sim::stats::SimStats;
 use cwsp_store::spine::{Key, Spine};

@@ -3,18 +3,20 @@
 //! The engine memoizes simulation results by *content*, not by label:
 //! workload names collide across workload sets (`hierarchy_probes()` reuses
 //! the figure names of `all()` with different modules), and sweep figures
-//! mutate one `SimConfig` field at a time. Fingerprinting the pretty-printed
-//! module text plus every semantic field of the configuration, scheme, and
-//! compile options makes the key collision-free in practice (64-bit FxHash
-//! over a few thousand keys) and — unlike `DefaultHasher` — stable across
-//! processes, which the on-disk cache requires.
+//! mutate one `SimConfig` field at a time. Hashing the module's structure
+//! (its derived [`Hash`]: name, globals with their initializers, every
+//! function's instructions, and the entry function) plus every semantic
+//! field of the configuration, scheme, and compile options makes the key
+//! collision-free in practice (64-bit FxHash over a few thousand keys) and —
+//! unlike `DefaultHasher` — stable across processes, which the on-disk cache
+//! requires. No text is formatted on this path.
 
 use cwsp_compiler::pipeline::CompileOptions;
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::module::Module;
 use cwsp_sim::config::{CacheParams, MainMemory, SimConfig};
-use cwsp_sim::hash::FxHasher;
 use cwsp_sim::scheme::Scheme;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 /// Bump when simulator or compiler semantics change in a way that should
 /// invalidate previously cached results (folded into every disk-cache key).
@@ -25,7 +27,11 @@ use std::hash::Hasher;
 /// Version 4: results moved from flat per-key JSON files to the LSM result
 /// spine (`cwsp_store::spine`); v3 flat entries are migrated into the spine
 /// as history (time-travel reachable) but fresh v4 keys recompute.
-pub const CACHE_VERSION: u64 = 4;
+/// Version 5: module keys hash the IR structurally instead of its printed
+/// text, which also covers global initializers and the entry function (the
+/// text showed neither). Every module key changed; v4 spine entries stay as
+/// history and are never served.
+pub const CACHE_VERSION: u64 = 5;
 
 /// Incrementally hashes heterogeneous fields into one stable u64.
 #[derive(Debug, Default)]
@@ -71,9 +77,9 @@ impl Fingerprint {
         self.u64(p.hit_cycles);
     }
 
-    /// Fold in a module by content (pretty-printed text).
+    /// Fold in a module by content (its structural hash).
     pub fn module(&mut self, m: &Module) -> &mut Self {
-        self.str(&cwsp_ir::pretty::fmt_module(m));
+        m.hash(&mut self.h);
         self
     }
 
@@ -261,6 +267,10 @@ mod tests {
         );
     }
 
+    /// "Name" here is the job label the engine is asked with, which never
+    /// enters the key: two label-alike workloads with different modules get
+    /// different keys, and one module rebuilt gets the same key. (The
+    /// module's own `name` field is content and is hashed.)
     #[test]
     fn module_content_not_name_decides() {
         use cwsp_core::genprog::generate_default;
@@ -272,5 +282,41 @@ mod tests {
             module_fp(&generate_default(1)),
             "stable across calls"
         );
+    }
+
+    /// Two functions and an initialized global; `init`, `entry` and `imm`
+    /// each vary exactly one piece of content.
+    fn probe_module(init: u64, entry: u32, imm: u64) -> Module {
+        use cwsp_ir::builder::FunctionBuilder;
+        use cwsp_ir::inst::{BinOp, Inst, MemRef, Operand};
+        use cwsp_ir::module::FuncId;
+        let mut m = Module::new("probe");
+        let g = m.add_global_init("g", 2, vec![init, 7]);
+        for name in ["main", "alt"] {
+            let mut b = FunctionBuilder::new(name, 0);
+            let e = b.entry();
+            let v = b.load(e, MemRef::global(g, 0));
+            let w = b.bin(e, BinOp::Add, v.into(), Operand::imm(imm));
+            b.push(
+                e,
+                Inst::Ret {
+                    val: Some(w.into()),
+                },
+            );
+            m.add_function(b.build());
+        }
+        m.set_entry(FuncId(entry));
+        m
+    }
+
+    #[test]
+    fn module_fp_sees_initializers_entry_and_operands() {
+        let base = probe_module(1, 0, 3);
+        let fp = module_fp(&base);
+        assert_eq!(module_fp(&base.clone()), fp, "a clone keys identically");
+        assert_eq!(module_fp(&probe_module(1, 0, 3)), fp, "a rebuild too");
+        assert_ne!(module_fp(&probe_module(2, 0, 3)), fp, "global init");
+        assert_ne!(module_fp(&probe_module(1, 1, 3)), fp, "entry function");
+        assert_ne!(module_fp(&probe_module(1, 0, 4)), fp, "one operand");
     }
 }

@@ -47,9 +47,9 @@ use cwsp_core::genprog::{
     inject_redundant_flush, inject_unsynced_store, ConcSpec, ProgramSpec,
 };
 use cwsp_ir::function::Block;
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
-use cwsp_sim::hash::FxHasher;
 use cwsp_sim::race::{check_module, OracleConfig};
 use cwsp_store::spine::{Key, Spine};
 use std::collections::BTreeMap;

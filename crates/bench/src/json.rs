@@ -177,6 +177,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -190,6 +191,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -301,12 +303,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of unescaped bytes at once. Both
+                    // delimiters are ASCII and the input is a `&str`, so the
+                    // run starts and ends on char boundaries.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -419,6 +425,56 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    /// Random text over ASCII, every character `to_pretty` escapes (quote,
+    /// backslash, `\n`, `\r`, `\t`, other controls) and 2-, 3- and 4-byte
+    /// UTF-8.
+    fn random_string(rng: &mut cwsp_core::prng::SplitMix64, len: usize) -> String {
+        let pool: Vec<char> = "aZ0 /\"\\\n\r\t\u{0}\u{1}\u{1f}\u{7f}éß€中\u{fffd}😀\u{10ffff}"
+            .chars()
+            .collect();
+        (0..len).map(|_| pool[rng.index(pool.len())]).collect()
+    }
+
+    #[test]
+    fn strings_round_trip_through_pretty_and_parse() {
+        let mut rng = cwsp_core::prng::SplitMix64::seed_from_u64(17);
+        let mut lens = vec![0, 1, 2, 7, 100_000];
+        lens.extend((0..200).map(|_| rng.index(300)));
+        for len in lens {
+            let v = Value::Str(random_string(&mut rng, len));
+            assert_eq!(parse(&v.to_pretty()).unwrap(), v, "len {len}");
+            let key = random_string(&mut rng, len % 50);
+            let o = Value::Obj(vec![(key, Value::Arr(vec![v, Value::Null]))]);
+            assert_eq!(parse(&o.to_pretty()).unwrap(), o, "len {len} in an object");
+        }
+    }
+
+    #[test]
+    fn parser_decodes_escapes_the_writer_never_emits() {
+        assert_eq!(
+            parse(r#""\/\u0041\u00e9\u20AC\u0000x""#).unwrap(),
+            Value::Str("/Aé€\0x".into())
+        );
+    }
+
+    #[test]
+    fn unterminated_and_malformed_strings_are_errors() {
+        for bad in [
+            "\"",
+            "\"abc",
+            "\"abc\\\"",
+            "\"é",
+            "\"\\",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u12",
+            "\"\\uZZZZ\"",
+            "[\"a\", \"b",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use cwsp_ir::types::{Reg, RegionId, Word};
 use std::collections::HashMap;
 
 /// How one live-in register is restored at recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RsSource {
     /// Load the register's NVM checkpoint slot
     /// ([`layout::ckpt_slot_addr`]).
@@ -25,7 +25,7 @@ pub enum RsSource {
 }
 
 /// A rematerialization expression evaluated by the recovery slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RematExpr {
     /// An immediate.
     Const(Word),

@@ -25,7 +25,7 @@ impl fmt::Display for BlockId {
 pub type InstIdx = usize;
 
 /// A basic block: a straight-line instruction sequence ending in a terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct Block {
     /// The instructions of this block; the last one is the terminator.
     pub insts: Vec<Inst>,
@@ -42,7 +42,7 @@ impl Block {
 ///
 /// Registers `r0..r{param_count}` hold the arguments on entry (loaded from the
 /// caller's stack frame, see [`crate::inst::Inst::Call`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     /// Human-readable name (diagnostics and pretty-printing only).
     pub name: String,

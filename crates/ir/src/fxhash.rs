@@ -8,8 +8,9 @@
 //! hash instead (the same trade rustc itself makes): one rotate, one xor,
 //! one multiply per 8 bytes.
 //!
-//! This is the canonical definition; `cwsp-sim` re-exports it as `sim::hash`
-//! so both the memory model and the cache model key their maps identically.
+//! This is the only definition: the memory model, the simulator's cache
+//! model, and the engine and analyzer fingerprints all use it, so every map
+//! and key in the workspace hashes identically.
 
 use std::hash::{BuildHasher, Hasher};
 

@@ -183,7 +183,7 @@ pub enum AtomicOp {
 /// Instructions the *compiler* inserts ([`Inst::Boundary`], [`Inst::Ckpt`]) may
 /// also be written by hand, which is how the simulated kernel-entry assembly of
 /// §VI delineates its regions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = op(lhs, rhs)`.
     Binary {

@@ -28,7 +28,7 @@ impl fmt::Display for FuncId {
 pub struct GlobalId(pub u32);
 
 /// A global data object: a named, word-granular array in the global segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Global {
     /// Human-readable name.
     pub name: String,
@@ -46,7 +46,7 @@ pub struct Global {
 /// Globals are laid out eagerly from [`layout::GLOBAL_BASE`] by a bump
 /// allocator, so [`Module::global_addr`] is usable immediately after
 /// [`Module::add_global`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Module {
     /// Module name (diagnostics only).
     pub name: String,

@@ -6,11 +6,11 @@
 //! allocation, and the whole tag store is cache-friendly for the *host* too.
 //! Giant geometries (the 4 GB direct-mapped DRAM cache has 64 M sets) stay
 //! sparse — a map from set index to its way array, hashed with the local
-//! [`crate::hash::FxHasher`] — which is what lets multi-GB footprints
+//! [`cwsp_ir::fxhash::FxHasher`] — which is what lets multi-GB footprints
 //! simulate in megabytes of host memory.
 
 use crate::config::CacheParams;
-use crate::hash::FxHashMap;
+use cwsp_ir::fxhash::FxHashMap;
 
 /// Cacheline size in bytes (fixed at 64, as in the paper).
 pub const LINE_BYTES: u64 = 64;

@@ -45,7 +45,6 @@
 pub mod cache;
 pub mod config;
 pub mod energy;
-pub mod hash;
 pub mod iodevice;
 pub mod machine;
 pub mod mc;

@@ -610,6 +610,10 @@ impl<'m> Machine<'m> {
 
     /// Run until completion, an instruction budget, or a crash cycle.
     ///
+    /// A crash cycle at or after the cycle the machine completes is no
+    /// crash: the last region has retired and released its output, so the
+    /// run ends [`RunEnd::Completed`].
+    ///
     /// # Errors
     /// Propagates interpreter traps (a trap is a program bug, not a
     /// simulation outcome).
@@ -619,7 +623,8 @@ impl<'m> Machine<'m> {
         crash_at_cycle: Option<u64>,
     ) -> Result<RunResult, InterpError> {
         loop {
-            if let Some(c) = crash_at_cycle {
+            let done = self.all_done();
+            if let Some(c) = crash_at_cycle.filter(|_| !done) {
                 if self.cycle >= c {
                     self.flush_all_stalls();
                     self.emit(Event::PowerFailure { cycle: self.cycle });
@@ -644,7 +649,7 @@ impl<'m> Machine<'m> {
                     stats: self.stats.clone(),
                 });
             }
-            if self.all_done() {
+            if done {
                 if let Some(f) = &mut self.flight {
                     f.seal();
                 }
@@ -717,9 +722,11 @@ impl<'m> Machine<'m> {
         if t == u64::MAX || t <= cycle + 1 {
             return;
         }
+        // Stop one cycle short of the crash: the tick that follows runs
+        // cycle `c` itself, exactly as the cycle-by-cycle path would.
         let mut target = t - 1;
         if let Some(c) = crash_at_cycle {
-            target = target.min(c);
+            target = target.min(c.saturating_sub(1));
         }
         if target <= cycle {
             return;
