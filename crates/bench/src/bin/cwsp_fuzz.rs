@@ -17,11 +17,16 @@
 //! `--check` skips fuzzing and audits the existing corpus against its
 //! manifest (lost or duplicated entries fail the exit code).
 //!
+//! A campaign run merges its counters into the `analyzer.fuzz` section of
+//! the harness report (`results/BENCH_harness.json`, or the file
+//! `CWSP_HARNESS_JSON` names).
+//!
 //! Exit codes: 0 — clean; 1 — divergences found (or audit failure);
 //! 2 — usage error.
 
-use cwsp_bench::engine::repo_results_dir;
-use cwsp_bench::fuzz::{self, FuzzConfig};
+use cwsp_bench::engine::{merge_harness_section, repo_results_dir};
+use cwsp_bench::fuzz::{self, FuzzConfig, FuzzReport};
+use cwsp_bench::json::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -122,6 +127,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    publish_harness(&report);
     if report.resumed > 0 && !opts.resume {
         eprintln!(
             "cwsp-fuzz: note: {} seeds already in the corpus were skipped (resumed campaign; \
@@ -153,4 +159,29 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+/// Surface farm counters next to the analyzer's in the harness report
+/// (deep-merged: the lint subsection survives).
+fn publish_harness(report: &FuzzReport) {
+    merge_harness_section(
+        "analyzer",
+        Value::Obj(vec![(
+            "fuzz".into(),
+            Value::Obj(vec![
+                ("run_fp".into(), Value::Int(report.run_fp)),
+                ("completed".into(), Value::Int(report.completed)),
+                ("resumed".into(), Value::Int(report.resumed)),
+                ("corpus".into(), Value::Int(report.corpus_len)),
+                (
+                    "divergences".into(),
+                    Value::Int(report.divergences.len() as u64),
+                ),
+                ("injected".into(), Value::Int(report.injected)),
+                ("injected_caught".into(), Value::Int(report.injected_caught)),
+                ("incr_hits".into(), Value::Int(report.incr_hits)),
+                ("incr_misses".into(), Value::Int(report.incr_misses)),
+            ]),
+        )]),
+    );
 }

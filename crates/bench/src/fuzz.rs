@@ -34,7 +34,7 @@
 //! progress plus the run manifest, kind 4 the corpus keyed by seed, kind 5
 //! per-shard coverage histograms.
 
-use crate::engine::{merge_harness_section, par_map};
+use crate::engine::par_map;
 use crate::json::{self, Value};
 use cwsp_analyzer::races::{check_concurrency, RaceOptions};
 use cwsp_analyzer::{analyze, analyze_incremental, persist, AnalysisCache, Report, Severity};
@@ -145,6 +145,10 @@ pub struct FuzzReport {
     pub max_min_insts: usize,
     /// Corpus entries now present for this campaign.
     pub corpus_len: u64,
+    /// Analyzer-cache lookups served from the shared incremental cache.
+    pub incr_hits: u64,
+    /// Analyzer-cache lookups that had to analyze.
+    pub incr_misses: u64,
 }
 
 /// Outcome of the spine-backed manifest audit ([`manifest_check`]).
@@ -1029,29 +1033,9 @@ pub fn run(dir: &Path, cfg: &FuzzConfig) -> io::Result<FuzzReport> {
         )])?;
     }
 
-    // Surface farm counters next to the analyzer's in the harness report
-    // (deep-merged: the lint subsection survives).
     let cache_stats = cache.lock().unwrap().stats();
-    merge_harness_section(
-        "analyzer",
-        Value::Obj(vec![(
-            "fuzz".into(),
-            Value::Obj(vec![
-                ("run_fp".into(), Value::Int(fp)),
-                ("completed".into(), Value::Int(report.completed)),
-                ("resumed".into(), Value::Int(report.resumed)),
-                ("corpus".into(), Value::Int(report.corpus_len)),
-                (
-                    "divergences".into(),
-                    Value::Int(report.divergences.len() as u64),
-                ),
-                ("injected".into(), Value::Int(report.injected)),
-                ("injected_caught".into(), Value::Int(report.injected_caught)),
-                ("incr_hits".into(), Value::Int(cache_stats.hits)),
-                ("incr_misses".into(), Value::Int(cache_stats.misses)),
-            ]),
-        )]),
-    );
+    report.incr_hits = cache_stats.hits;
+    report.incr_misses = cache_stats.misses;
     Ok(report)
 }
 

@@ -29,17 +29,6 @@ use crate::layout;
 use crate::module::{FuncId, Module};
 use crate::types::{Reg, RegionId, Word};
 
-/// Whether fused (superblock) dispatch is enabled for this process.
-///
-/// Controlled by the `CWSP_FUSE` environment variable: unset or any value
-/// other than `"0"` enables fusion. Read once per process and cached —
-/// fusion is a pure dispatch strategy, so flipping it never changes
-/// architectural results or simulated statistics, only host-side speed.
-pub fn fuse_enabled() -> bool {
-    static FUSE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FUSE.get_or_init(|| std::env::var("CWSP_FUSE").map(|v| v != "0").unwrap_or(true))
-}
-
 /// A `(start, len)` window into one of the decode pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolRange {

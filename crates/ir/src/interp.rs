@@ -1204,16 +1204,13 @@ pub fn run(module: &Module, max_steps: u64) -> Result<Outcome, InterpError> {
     let mut interp = Interp::new(module, 0, &mut mem)?;
     let mut output = Vec::new();
     let mut eff = StepEffect::default();
-    let fused = crate::decoded::fuse_enabled();
     while !interp.is_halted() {
         if interp.steps() >= max_steps {
             return Err(InterpError::StepLimit(max_steps));
         }
-        if fused {
-            let left = max_steps - interp.steps();
-            if interp.step_simple_run(&mut mem, left, &mut output)? > 0 {
-                continue;
-            }
+        let left = max_steps - interp.steps();
+        if interp.step_simple_run(&mut mem, left, &mut output)? > 0 {
+            continue;
         }
         interp.step_into(&mut mem, &mut eff)?;
         if let Some(v) = eff.out {

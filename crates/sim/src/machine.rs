@@ -158,10 +158,6 @@ pub struct Machine<'m> {
     resume_dyn: Vec<Option<u64>>,
     /// Reused scratch for [`MemoryController::tick_drained`] output.
     nvm_drained: Vec<(Word, DynRegionId)>,
-    /// Fused superblock dispatch (see [`cwsp_ir::decoded::fuse_enabled`]).
-    /// A pure dispatch strategy: results and statistics are byte-identical
-    /// with it on or off.
-    fuse: bool,
     /// Cached sum of live MC undo-log records; recomputed only when a log
     /// append or deallocation may have changed it (`logs_dirty`).
     live_logs_cache: usize,
@@ -295,7 +291,6 @@ impl<'m> Machine<'m> {
             flight: FlightRecorder::from_env(),
             resume_dyn: vec![None; cfg.cores],
             nvm_drained: Vec::new(),
-            fuse: cwsp_ir::decoded::fuse_enabled(),
             live_logs_cache: 0,
             logs_dirty: false,
             oracle: None,
@@ -373,13 +368,6 @@ impl<'m> Machine<'m> {
             .collect();
         bad.sort_unstable();
         bad
-    }
-
-    /// Override fused superblock dispatch for this machine (defaults to the
-    /// process-wide `CWSP_FUSE` setting). Used by the fused-vs-unfused
-    /// stats-invariance tests; simulated results never depend on it.
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on;
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -949,7 +937,7 @@ impl<'m> Machine<'m> {
                 // slot — so stats and state are byte-identical; only the
                 // per-op dispatch overhead is elided. (Skipped while tracing
                 // so stall spans coalesce identically.)
-                if self.fuse && self.trace.is_none() {
+                if self.trace.is_none() {
                     let c = &mut self.cores[i];
                     if !c.halted
                         && c.busy_until <= self.cycle

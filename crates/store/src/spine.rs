@@ -6,7 +6,7 @@
 //! every key is retained through compaction, so the spine is a *time-travel*
 //! store: a cursor can replay the state as of any committed batch sequence
 //! number — the perf trajectory of the whole harness, queryable
-//! incrementally instead of rescanned from flat JSON.
+//! incrementally. It is the engine's only disk backend.
 //!
 //! ## On-disk layout
 //!
@@ -170,13 +170,12 @@ pub struct Spine {
     dir: PathBuf,
     batches: Vec<Batch>,
     next_seq: u64,
-    migrated: bool,
     compactions: u64,
 }
 
 impl Spine {
     /// Open (or create) the spine at `dir`. Scans the directory for batch
-    /// files; the manifest contributes only the `migrated` marker.
+    /// files; the manifest is written, never read.
     ///
     /// # Errors
     /// Propagates directory-creation failures. Unreadable or torn batch
@@ -197,14 +196,10 @@ impl Spine {
             }
         }
         let next_seq = batches.iter().map(|b| b.max_seq).max().unwrap_or(0) + 1;
-        let migrated = fs::read_to_string(dir.join("MANIFEST.json"))
-            .map(|t| t.contains("\"migrated\": true"))
-            .unwrap_or(false);
         Ok(Spine {
             dir,
             batches,
             next_seq,
-            migrated,
             compactions: 0,
         })
     }
@@ -212,17 +207,6 @@ impl Spine {
     /// Directory this spine lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Whether the one-shot flat-JSON migration has already run here.
-    pub fn migrated(&self) -> bool {
-        self.migrated
-    }
-
-    /// Record that the one-shot flat-JSON migration ran.
-    pub fn set_migrated(&mut self) {
-        self.migrated = true;
-        self.write_manifest();
     }
 
     /// Sequence number of the most recent committed batch (0 = empty).
@@ -444,7 +428,6 @@ impl Spine {
     fn write_manifest(&self) {
         let mut s = String::new();
         s.push_str("{\n \"version\": 1,\n");
-        s.push_str(&format!(" \"migrated\": {},\n", self.migrated));
         s.push_str(&format!(" \"last_seq\": {},\n", self.last_seq()));
         s.push_str(" \"batches\": [\n");
         let mut sorted: Vec<&Batch> = self.batches.iter().collect();
@@ -740,18 +723,14 @@ mod tests {
     }
 
     #[test]
-    fn manifest_describes_the_live_set_and_migration_flag_persists() {
+    fn manifest_describes_the_live_set() {
         let dir = tmpdir("man");
         let mut s = Spine::open(&dir).unwrap();
         s.commit(vec![(k(1), b"x".to_vec())]).unwrap();
-        assert!(!s.migrated());
-        s.set_migrated();
         let text = fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
-        assert!(text.contains("\"migrated\": true"));
+        assert!(text.contains("\"last_seq\": 1"));
         assert!(text.contains("\"batches\""));
         assert!(text.contains(".batch"));
-        let r = Spine::open(&dir).unwrap();
-        assert!(r.migrated(), "flag survives reopen");
         let _ = fs::remove_dir_all(&dir);
     }
 

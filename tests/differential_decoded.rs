@@ -7,15 +7,9 @@
 //! pruned frames) through both interpreters in lockstep, including
 //! crash/resume at generated boundaries.
 //!
-//! Two tiers share the same properties (the `tests/proptest_crash.rs`
-//! pattern):
-//!
-//! * The **offline tier** (always compiled) sweeps deterministic,
-//!   SplitMix64-driven samples so the zero-external-crate build exercises
-//!   every property.
-//! * The **proptest tier** (`--features proptest`, which also requires
-//!   re-adding `proptest = "1"` to `[dev-dependencies]` — see README) layers
-//!   randomized case generation on top.
+//! Cases are deterministic, SplitMix64-driven samples of the (spec, seed)
+//! space, so every run checks the same programs and a failure names its
+//! seed.
 
 use cwsp::compiler::pipeline::{CompileOptions, CwspCompiler};
 use cwsp::core::genprog::{generate, ProgramSpec};
@@ -179,56 +173,5 @@ fn compiled_programs_resume_identically() {
             nth,
             &format!("case {case} seed {seed} boundary {nth}"),
         );
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod randomized {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
-        (1usize..4, 4u64..32, 4usize..14, 2u64..10, any::<bool>()).prop_map(
-            |(globals, words, segments, trip, calls)| ProgramSpec {
-                globals,
-                global_words: words,
-                segments,
-                max_trip: trip,
-                calls,
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
-
-        #[test]
-        fn random_programs_execute_identically(
-            spec in spec_strategy(),
-            seed in 0u64..100_000,
-            compile in any::<bool>(),
-            pruning in any::<bool>(),
-        ) {
-            let module = generate(&spec, seed);
-            let module = if compile {
-                CwspCompiler::new(CompileOptions { pruning, ..Default::default() })
-                    .compile(&module)
-                    .module
-            } else {
-                module
-            };
-            assert_lockstep(&module, &format!("seed {seed}"));
-        }
-
-        #[test]
-        fn random_programs_resume_identically(
-            spec in spec_strategy(),
-            seed in 0u64..100_000,
-            nth in 0usize..8,
-        ) {
-            let module = generate(&spec, seed);
-            let compiled = CwspCompiler::new(CompileOptions::default()).compile(&module);
-            assert_resume_lockstep(&compiled.module, nth, &format!("seed {seed}"));
-        }
     }
 }

@@ -42,7 +42,7 @@ fn serial_stats(name: &str, cfg: &SimConfig, scheme: Scheme) -> (SimStats, SimSt
 
 #[test]
 fn engine_results_are_bit_identical_to_serial_runs() {
-    let engine = Engine::new(None);
+    let engine = Engine::in_memory();
     let triples = sample_triples();
     // Drive the engine the way figure binaries do: in parallel, twice (the
     // second sweep exercises the memo), then compare against direct serial
@@ -85,15 +85,16 @@ fn disk_cached_results_are_bit_identical_too() {
     let w = cwsp_workloads::by_name(name).unwrap();
     let compiled = CwspCompiler::new(CompileOptions::default()).compile(&w.module);
 
-    let writer = Engine::new(Some(dir.clone()));
+    let writer = Engine::with_spine(dir.clone());
+    assert!(writer.uses_spine());
     let first = writer.stats(name, &compiled.module, &cfg, scheme);
-    // A fresh engine must reconstruct the exact stats from the JSON file.
-    let reader = Engine::new(Some(dir.clone()));
+    // A fresh engine must reconstruct the exact stats from the spine.
+    let reader = Engine::with_spine(dir.clone());
     let from_disk = reader.stats(name, &compiled.module, &cfg, scheme);
     assert_eq!(
         reader.counters().disk_hits,
         1,
-        "second engine read the cache file"
+        "second engine read the spine"
     );
     assert_eq!(from_disk, first);
     assert_eq!(
@@ -108,7 +109,7 @@ fn slowdowns_printed_by_figures_match_serial_to_full_precision() {
     // The figure binaries print slowdowns with {:.3}; require bit-equality of
     // the f64 itself, which is strictly stronger.
     let cfg = SimConfig::default();
-    let engine = Engine::new(None);
+    let engine = Engine::in_memory();
     for name in ["lbm", "raytrace", "vacation"] {
         let w = cwsp_workloads::by_name(name).unwrap();
         let (base, s) = serial_stats(name, &cfg, Scheme::cwsp());

@@ -17,9 +17,8 @@
 //! * **Crash/resume** — compiled modules are cut at *every* region boundary
 //!   and resumed fused-vs-reference from the persisted image.
 //!
-//! Two tiers share the properties (the `tests/proptest_crash.rs` pattern):
-//! the offline tier always compiles; the proptest tier needs
-//! `--features proptest` plus re-adding `proptest = "1"` (see README).
+//! Cases are deterministic, SplitMix64-driven samples, so every run checks
+//! the same programs and cut points and a failure names its seed.
 
 use cwsp::compiler::pipeline::{CompileOptions, CwspCompiler};
 use cwsp::core::genprog::{generate, ProgramSpec};
@@ -303,55 +302,5 @@ fn single_step_bursts_match_reference() {
         assert_eq!(fused.steps(), refi.steps(), "case {case}: steps");
         assert_eq!(out_f, out_r, "case {case}: outputs");
         assert_eq!(mem_f, mem_r, "case {case}: memories");
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod randomized {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
-        (1usize..4, 4u64..32, 3usize..12, 2u64..8, any::<bool>()).prop_map(
-            |(globals, words, segments, trip, calls)| ProgramSpec {
-                globals,
-                global_words: words,
-                segments,
-                max_trip: trip,
-                calls,
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
-
-        #[test]
-        fn random_fused_runs_match_reference(
-            spec in spec_strategy(),
-            seed in 0u64..1_000_000,
-            rng_seed in any::<u64>(),
-            compile in any::<bool>(),
-        ) {
-            let module = generate(&spec, seed);
-            let module = if compile {
-                CwspCompiler::new(CompileOptions::default()).compile(&module).module
-            } else {
-                module
-            };
-            let mut r = SplitMix64::seed_from_u64(rng_seed);
-            assert_fused_lockstep(&module, &mut r, &format!("seed {seed}"));
-        }
-
-        #[test]
-        fn random_fused_op_counts_are_exact(
-            spec in spec_strategy(),
-            seed in 0u64..1_000_000,
-            rng_seed in any::<u64>(),
-        ) {
-            let module = generate(&spec, seed);
-            let mut r = SplitMix64::seed_from_u64(rng_seed);
-            assert_opcounts_exact(&module, &mut r, &format!("seed {seed}"));
-        }
     }
 }

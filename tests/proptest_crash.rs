@@ -3,15 +3,9 @@
 //! repository's strongest evidence that the compiler + hardware + recovery
 //! protocol compose soundly.
 //!
-//! Two tiers share the same properties:
-//!
-//! * The **offline tier** (always compiled) sweeps deterministic,
-//!   SplitMix64-driven samples of the same (spec, seed, crash, pruning)
-//!   space, so the default zero-external-crate build still exercises every
-//!   property.
-//! * The **proptest tier** (`--features proptest`, which also requires
-//!   re-adding `proptest = "1"` to `[dev-dependencies]` — see README) layers
-//!   shrinking and a larger randomized case count on top.
+//! Cases are deterministic, SplitMix64-driven samples of the (spec, seed,
+//! crash cycle, pruning) space, so every run checks the same programs and a
+//! failure names its seed.
 
 use cwsp::compiler::pipeline::CompileOptions;
 use cwsp::core::genprog::{generate, ProgramSpec};
@@ -20,8 +14,7 @@ use cwsp::core::system::CwspSystem;
 use cwsp::core::verify::check_crash_consistency;
 use cwsp::sim::config::SimConfig;
 
-/// Deterministically sample a [`ProgramSpec`] from one RNG draw sequence —
-/// the offline analogue of the proptest strategy below.
+/// Deterministically sample a [`ProgramSpec`] from one RNG draw sequence.
 fn sample_spec(r: &mut SplitMix64) -> ProgramSpec {
     ProgramSpec {
         globals: r.range_u64(1, 4) as usize,
@@ -123,49 +116,5 @@ fn dynamic_invariants_hold_for_sampled_programs() {
             .unwrap_or_else(|e| panic!("case {case} seed {seed}: {e}"));
         cwsp::compiler::verify::check_slices(&c.module, &c.slices, 3_000_000)
             .unwrap_or_else(|e| panic!("case {case} seed {seed}: {e}"));
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod randomized {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
-        (1usize..4, 4u64..32, 4usize..14, 2u64..10, any::<bool>()).prop_map(
-            |(globals, words, segments, trip, calls)| ProgramSpec {
-                globals,
-                global_words: words,
-                segments,
-                max_trip: trip,
-                calls,
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
-
-        #[test]
-        fn random_programs_survive_random_crashes(
-            spec in spec_strategy(),
-            seed in 0u64..10_000,
-            crash_cycle in 0u64..20_000,
-            pruning in any::<bool>(),
-        ) {
-            let module = generate(&spec, seed);
-            let system = CwspSystem::compile_with(
-                &module,
-                CompileOptions { pruning, ..Default::default() },
-                SimConfig::default(),
-            );
-            let report = check_crash_consistency(&system, crash_cycle)
-                .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
-            prop_assert!(
-                report.recovered_matches_oracle,
-                "seed {seed} crash@{crash_cycle} pruning={pruning}: {:?}",
-                report.divergence
-            );
-        }
     }
 }

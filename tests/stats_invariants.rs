@@ -72,27 +72,33 @@ fn invariant_checker_rejects_corrupted_stats() {
     assert!(err.contains("op_mix"), "{err}");
 }
 
-/// Superblock fusion is a dispatch optimization, not a semantic change: a
-/// fused machine must report a `SimStats` byte-identical to the unfused
-/// path — same cycles, same per-opcode `op_mix`, same stall and occupancy
-/// counters — on completed runs and at power-failure cuts alike.
+/// The fast path (fused superblock bursts, event-horizon idle skip) is a
+/// dispatch optimization, not a semantic change. A profiled machine issues
+/// every op through `advance_core_once` and never idle-skips, so it is the
+/// machine-level reference: both must report a byte-identical `SimStats` —
+/// same cycles, same per-opcode `op_mix`, same stall and occupancy counters
+/// — on completed runs and at power-failure cuts alike.
 #[test]
-fn fused_and_unfused_machines_report_identical_stats() {
+fn fast_path_and_profiled_machines_report_identical_stats() {
     for seed in [7, 21, 63] {
         let m = generate_default(seed);
         let compiled = CwspCompiler::new(CompileOptions::default()).compile(&m);
         let cfg = SimConfig::default();
-        for scheme in [Scheme::Baseline, Scheme::cwsp()] {
-            for crash in [None, Some(25_000)] {
+        for scheme in [
+            Scheme::Baseline,
+            Scheme::cwsp(),
+            Scheme::Capri,
+            Scheme::ReplayCache,
+        ] {
+            for crash in [None, Some(1_000), Some(25_000)] {
                 let label = format!("gen-{seed}/{}/crash={crash:?}", scheme.name());
-                let mut fused = Machine::new(&compiled.module, &cfg, scheme);
-                fused.set_fuse(true);
-                let rf = fused
+                let mut fast = Machine::new(&compiled.module, &cfg, scheme);
+                let rf = fast
                     .run(u64::MAX, crash)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let mut plain = Machine::new(&compiled.module, &cfg, scheme);
-                plain.set_fuse(false);
-                let rp = plain
+                let mut profiled = Machine::new(&compiled.module, &cfg, scheme);
+                profiled.enable_profiler();
+                let rp = profiled
                     .run(u64::MAX, crash)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(rf.end, rp.end, "{label}");
