@@ -768,10 +768,13 @@ fn merge_harness_entry(path: &Path, figure: &str, mut entry: Value) {
     }
     if let Value::Obj(fields) = &mut doc {
         if let Some((_, figures)) = fields.iter_mut().find(|(k, _)| k == "figures") {
-            // A figure served entirely spine-warm simulates nothing fresh,
-            // so its `wall_ms` is a cache-read time, not a simulation time;
-            // say so explicitly.
-            if entry.get("sim_insts").and_then(Value::as_u64) == Some(0) {
+            // A figure whose every job was served from the memo or the
+            // disk cache simulates nothing fresh, so its `wall_ms` is a
+            // cache-read time, not a simulation time; say so explicitly. A
+            // binary that submits no jobs was not served from any cache.
+            let field = |k: &str| entry.get(k).and_then(Value::as_u64).unwrap_or(0);
+            let jobs = field("jobs");
+            if jobs > 0 && field("memo_hits") + field("disk_hits") == jobs {
                 entry.set("cache_hit", Value::Bool(true));
             }
             figures.set(figure, entry);
@@ -1233,7 +1236,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cwsp-cachehit-test-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("BENCH_harness.json");
-        let entry = |insts: u64| Value::Obj(vec![("sim_insts".into(), Value::Int(insts))]);
+        let entry = |jobs: u64, hits: u64| {
+            Value::Obj(vec![
+                ("jobs".into(), Value::Int(jobs)),
+                ("memo_hits".into(), Value::Int(0)),
+                ("disk_hits".into(), Value::Int(hits)),
+            ])
+        };
         let stored = |path: &Path| {
             let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
             doc.get("figures")
@@ -1243,13 +1252,20 @@ mod tests {
                 .clone()
         };
         // A fresh run carries no marker; a refresh served entirely
-        // spine-warm (zero fresh instructions) is marked explicitly.
-        merge_harness_entry(&path, "fig08_wpq_hits", entry(5_000));
+        // spine-warm (every job a disk hit) is marked explicitly.
+        merge_harness_entry(&path, "fig08_wpq_hits", entry(40, 0));
         assert!(stored(&path).get("cache_hit").is_none());
-        merge_harness_entry(&path, "fig08_wpq_hits", entry(0));
+        merge_harness_entry(&path, "fig08_wpq_hits", entry(40, 40));
         assert_eq!(stored(&path).get("cache_hit"), Some(&Value::Bool(true)));
         // The next fresh run replaces the warm entry, marker included.
-        merge_harness_entry(&path, "fig08_wpq_hits", entry(5_000));
+        merge_harness_entry(&path, "fig08_wpq_hits", entry(40, 0));
+        assert!(stored(&path).get("cache_hit").is_none());
+        // A partly warm run simulated something fresh: no marker.
+        merge_harness_entry(&path, "fig08_wpq_hits", entry(40, 39));
+        assert!(stored(&path).get("cache_hit").is_none());
+        // A binary that submits no jobs (a table computed without the
+        // engine) was served from no cache: no marker.
+        merge_harness_entry(&path, "fig08_wpq_hits", entry(0, 0));
         assert!(stored(&path).get("cache_hit").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,6 +14,16 @@
 //!
 //! The resumed program runs on the NVM image as its main memory — whole-system
 //! persistence means there is nothing else to restore.
+//!
+//! Single-core replay runs through [`Interp::run_to_halt`], the same fused
+//! burst loop as the `cwsp_ir::interp::run` oracle. While a
+//! [`ReplayWriteLog`] is capturing, only register-only `step_run` bursts
+//! run between single steps, so every write is still seen in order; once
+//! the log is full (or when there is none) the whole fused loop takes over.
+//! Either way `replayed_steps`, output, final memory and every trap or step
+//! limit equal those of stepping one instruction at a time.
+//! [`recover_multicore`] single-steps: its round-robin interleaving is its
+//! semantics.
 
 use cwsp_compiler::pipeline::Compiled;
 use cwsp_ir::interp::{Interp, InterpError, ResumeKind, StepEffect};
@@ -137,7 +147,7 @@ fn recover_inner(
     core: usize,
     max_steps: u64,
     sink: &mut dyn ObsSink,
-    mut write_log: Option<(&mut ReplayWriteLog, usize)>,
+    write_log: Option<(&mut ReplayWriteLog, usize)>,
 ) -> Result<RecoveredRun, RecoveryError> {
     let observed = sink.enabled();
     let t0 = observed.then(Instant::now);
@@ -183,28 +193,44 @@ fn recover_inner(
     let s = now_ns(&t0);
     let mut output = output;
     let mut replayed = 0u64;
-    let mut eff = StepEffect::default();
-    while !interp.is_halted() {
-        if replayed >= max_steps {
-            return Err(RecoveryError::StepLimit(max_steps));
-        }
-        interp.step_into(&mut mem, &mut eff).map_err(|e| match e {
-            InterpError::Trap(m) => RecoveryError::Trap(m),
-            other => RecoveryError::Trap(other.to_string()),
-        })?;
-        if let Some((log, cap)) = write_log.as_mut() {
+    let trap = |e: InterpError| match e {
+        InterpError::Trap(m) => RecoveryError::Trap(m),
+        InterpError::StepLimit(_) => RecoveryError::StepLimit(max_steps),
+        other => RecoveryError::Trap(other.to_string()),
+    };
+    // While the write log is capturing, only register-only bursts run
+    // between single steps: they write nothing and emit nothing, so the
+    // log, its cap and `truncated` stay exact.
+    if let Some((log, cap)) = write_log {
+        let mut eff = StepEffect::default();
+        while !interp.is_halted() && !log.truncated {
+            if replayed >= max_steps {
+                return Err(RecoveryError::StepLimit(max_steps));
+            }
+            let burst = interp.step_run((max_steps - replayed).min(u32::MAX as u64) as u32);
+            if burst > 0 {
+                replayed += burst as u64;
+                continue;
+            }
+            interp.step_into(&mut mem, &mut eff).map_err(trap)?;
             for &(a, v) in &eff.writes {
-                if log.writes.len() < *cap {
+                if log.writes.len() < cap {
                     log.writes.push((a, v));
                 } else {
                     log.truncated = true;
                 }
             }
+            if let Some(v) = eff.out {
+                output.push(v);
+            }
+            replayed += 1;
         }
-        if let Some(v) = eff.out {
-            output.push(v);
-        }
-        replayed += 1;
+    }
+    // Uncaptured: the fused run-to-halt loop, bounded by the steps left.
+    if !interp.is_halted() {
+        replayed += interp
+            .run_to_halt(&mut mem, max_steps - replayed, &mut output)
+            .map_err(trap)?;
     }
     if observed {
         let end = now_ns(&t0);

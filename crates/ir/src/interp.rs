@@ -875,6 +875,42 @@ impl<'m> Interp<'m> {
         Ok(n)
     }
 
+    /// Run to halt through fused bursts: [`Interp::step_simple_run`] where
+    /// it applies, one [`Interp::step_into`] where it stops (calls, returns,
+    /// halts, traps), with output words pushed onto `out`. This is the one
+    /// fused run-to-halt loop; the oracle [`run`] and crash recovery both
+    /// use it. Returns the number of steps executed by this call.
+    ///
+    /// Identical to single-stepping with `step_into` in architectural
+    /// state, steps, output, and trap behavior.
+    ///
+    /// # Errors
+    /// Propagates traps; returns [`InterpError::StepLimit`]`(max_steps)`
+    /// when `max_steps` steps ran without halting.
+    pub fn run_to_halt(
+        &mut self,
+        mem: &mut Memory,
+        max_steps: u64,
+        out: &mut Vec<Word>,
+    ) -> Result<u64, InterpError> {
+        let start = self.steps;
+        let mut eff = StepEffect::default();
+        while !self.halted {
+            let done = self.steps - start;
+            if done >= max_steps {
+                return Err(InterpError::StepLimit(max_steps));
+            }
+            if self.step_simple_run(mem, max_steps - done, out)? > 0 {
+                continue;
+            }
+            self.step_into(mem, &mut eff)?;
+            if let Some(v) = eff.out {
+                out.push(v);
+            }
+        }
+        Ok(self.steps - start)
+    }
+
     /// Advance the innermost frame past a non-branching instruction.
     #[inline]
     fn bump(&mut self) {
@@ -1203,20 +1239,7 @@ pub fn run(module: &Module, max_steps: u64) -> Result<Outcome, InterpError> {
     let mut mem = Memory::new();
     let mut interp = Interp::new(module, 0, &mut mem)?;
     let mut output = Vec::new();
-    let mut eff = StepEffect::default();
-    while !interp.is_halted() {
-        if interp.steps() >= max_steps {
-            return Err(InterpError::StepLimit(max_steps));
-        }
-        let left = max_steps - interp.steps();
-        if interp.step_simple_run(&mut mem, left, &mut output)? > 0 {
-            continue;
-        }
-        interp.step_into(&mut mem, &mut eff)?;
-        if let Some(v) = eff.out {
-            output.push(v);
-        }
-    }
+    interp.run_to_halt(&mut mem, max_steps, &mut output)?;
     Ok(Outcome {
         return_value: interp.return_value(),
         steps: interp.steps(),

@@ -415,47 +415,36 @@ fn decode_page(page: &[u64; PAGE_WORDS], fill: usize, out: &mut Vec<FlightRecord
     }
 }
 
-/// Read a journal file left on disk (e.g. by a killed process). Validates
-/// the header magic, tolerates a torn tail page (records past the last
-/// complete 32-byte boundary are ignored), and skips padding.
+/// Read a journal file left on disk (e.g. by a killed process) in one read
+/// and decode it record by record. Validates the header magic, tolerates a
+/// torn tail (bytes past the last complete 32-byte record are ignored), and
+/// skips padding.
 ///
 /// # Errors
-/// I/O failures, or `InvalidData` if the header magic does not match.
+/// I/O failures, or `InvalidData` if the file is shorter than one record
+/// or the header magic does not match.
 pub fn read_journal(path: &Path) -> std::io::Result<Vec<FlightRecord>> {
-    let store = SpillStore::open_readonly(path)?;
-    let bytes = store.bytes();
-    if bytes < RECORD_BYTES as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "journal shorter than one record",
-        ));
-    }
-    let magic = store.read_word(0, 1);
-    if magic != FLIGHT_MAGIC
-        || FlightKind::from_u8((store.read_word(0, 0) & 0xFF) as u8) != Some(FlightKind::Header)
-    {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bad flight journal magic",
-        ));
-    }
-    let n_records = (bytes as usize) / RECORD_BYTES;
-    let mut out = Vec::new();
-    for i in 1..n_records {
-        let off = (i * RECORD_BYTES) as u64;
-        let w = [
-            store.read_word(off, 0),
-            store.read_word(off, 1),
-            store.read_word(off, 2),
-            store.read_word(off, 3),
-        ];
-        match FlightRecord::decode(w) {
-            Some(r) if r.kind == FlightKind::Pad => {}
-            Some(r) => out.push(r),
-            None => {}
+    let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let bytes = std::fs::read(path)?;
+    let mut words = bytes.chunks_exact(RECORD_BYTES).map(|rec| {
+        let mut w = [0u64; RECORD_WORDS];
+        for (w, b) in w.iter_mut().zip(rec.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
         }
+        w
+    });
+    let header = words
+        .next()
+        .ok_or_else(|| invalid("journal shorter than one record"))?;
+    if header[1] != FLIGHT_MAGIC
+        || FlightKind::from_u8((header[0] & 0xFF) as u8) != Some(FlightKind::Header)
+    {
+        return Err(invalid("bad flight journal magic"));
     }
-    Ok(out)
+    Ok(words
+        .filter_map(FlightRecord::decode)
+        .filter(|r| r.kind != FlightKind::Pad)
+        .collect())
 }
 
 #[cfg(test)]

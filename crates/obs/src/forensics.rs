@@ -21,10 +21,71 @@
 //! resume region, replay must re-execute exactly the unretired journal
 //! stores in issue order, then the pending and sync tails — an exact,
 //! per-address sequence match (see `tests/flight_forensics.rs`).
+//!
+//! Matching is one pass over the journal with two FIFO matchers: a
+//! `StoreIssue` queues under (core, addr, region) until a `WpqEnqueue` with
+//! that key takes the oldest, which then queues under (mc, addr, region)
+//! until an `NvmCommit` with that key drains it. Each queue is a
+//! `(head, tail)` chain threaded through the store index in an FxHash map,
+//! so a match is one probe and allocates nothing; a record that matches no
+//! queued store is ignored.
 
 use crate::flight::{FlightKind, FlightRecord, REGION_NONE};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use cwsp_ir::fxhash::FxHashMap;
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
+
+/// Per-key FIFO queues of store indices, threaded through the store index
+/// as `(head, tail)` chains: `next[i]` is the store queued behind store `i`
+/// under the same key. A push or a pop is one map probe and allocates
+/// nothing once `next` has grown, and a key leaves the map when its queue
+/// empties. `next[i]` is only read after a later push has written it, so
+/// it needs no initial value.
+struct FifoChains<K> {
+    ends: FxHashMap<K, (u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl<K: Hash + Eq> FifoChains<K> {
+    fn new() -> Self {
+        FifoChains {
+            ends: FxHashMap::default(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Queue store `idx` behind every store already queued under `key`.
+    fn push(&mut self, key: K, idx: usize) {
+        if self.next.len() <= idx {
+            self.next.resize(idx + 1, 0);
+        }
+        let idx = u32::try_from(idx).expect("fewer than 2^32 journaled stores");
+        match self.ends.entry(key) {
+            Entry::Occupied(mut e) => {
+                let tail = &mut e.get_mut().1;
+                self.next[*tail as usize] = idx;
+                *tail = idx;
+            }
+            Entry::Vacant(e) => {
+                e.insert((idx, idx));
+            }
+        }
+    }
+
+    /// Dequeue the oldest store queued under `key`, if any.
+    fn pop(&mut self, key: K) -> Option<usize> {
+        let Entry::Occupied(mut e) = self.ends.entry(key) else {
+            return None;
+        };
+        let (head, tail) = *e.get();
+        if head == tail {
+            e.remove();
+        } else {
+            e.get_mut().0 = self.next[head as usize];
+        }
+        Some(head as usize)
+    }
+}
 
 /// One core's share of the crash-instant persist frontier, snapshotted from
 /// the machine before it is consumed into a crash image.
@@ -224,12 +285,12 @@ impl ForensicReport {
         // FIFO matchers: issue → accept keyed by (core, addr, region);
         // accept → drain keyed by (mc, addr, region). FIFO is exact because
         // both the persist buffer and each WPQ preserve per-key order.
-        let mut await_wpq: HashMap<(u8, u64, u64), VecDeque<usize>> = HashMap::new();
-        let mut await_drain: HashMap<(u8, u64, u64), VecDeque<usize>> = HashMap::new();
-        let mut open_regions: HashMap<u64, usize> = HashMap::new();
+        let mut await_wpq: FifoChains<(u8, u64, u64)> = FifoChains::new();
+        let mut await_drain: FifoChains<(u8, u64, u64)> = FifoChains::new();
+        let mut open_regions: FxHashMap<u64, usize> = FxHashMap::default();
         // Per (core, region): index into `stores` after the last committed
         // sync — stores before it are covered by the advanced resume point.
-        let mut sync_floor: HashMap<(u8, u64), usize> = HashMap::new();
+        let mut sync_floor: FxHashMap<(u8, u64), usize> = FxHashMap::default();
         for r in records {
             match r.kind {
                 FlightKind::StoreIssue => {
@@ -247,32 +308,20 @@ impl ForensicReport {
                         fate: StoreFate::InPb,
                         replayed: false,
                     });
-                    await_wpq
-                        .entry((r.core, r.addr, r.region))
-                        .or_default()
-                        .push_back(idx);
+                    await_wpq.push((r.core, r.addr, r.region), idx);
                 }
                 FlightKind::WpqEnqueue => {
-                    if let Some(idx) = await_wpq
-                        .get_mut(&(r.core, r.addr, r.region))
-                        .and_then(VecDeque::pop_front)
-                    {
+                    if let Some(idx) = await_wpq.pop((r.core, r.addr, r.region)) {
                         let s = &mut report.stores[idx];
                         s.wpq_cycle = Some(r.cycle);
                         s.mc = r.mc;
                         s.logged = r.logged;
                         s.fate = StoreFate::InWpq;
-                        await_drain
-                            .entry((r.mc, r.addr, r.region))
-                            .or_default()
-                            .push_back(idx);
+                        await_drain.push((r.mc, r.addr, r.region), idx);
                     }
                 }
                 FlightKind::NvmCommit => {
-                    if let Some(idx) = await_drain
-                        .get_mut(&(r.mc, r.addr, r.region))
-                        .and_then(VecDeque::pop_front)
-                    {
+                    if let Some(idx) = await_drain.pop((r.mc, r.addr, r.region)) {
                         let s = &mut report.stores[idx];
                         s.commit_cycle = Some(r.cycle);
                         s.fate = StoreFate::Committed;
@@ -797,6 +846,44 @@ mod tests {
         assert_eq!(c.lost(), 3);
         // Replay: resume region 6 ⇒ regions 5 retired, 6 and 7 replayed.
         assert_eq!(rep.predicted_replay(0), vec![0x110, 0x118, 0x120]);
+    }
+
+    #[test]
+    fn fifo_matching_lands_each_fate_on_the_right_store() {
+        // One (core, addr, region) issued three times; the first and third
+        // are accepted on MC 0, the second on MC 1; MC 0 drains once and
+        // MC 1 once. Per-key FIFO pins each accept and drain to one store.
+        let records = vec![
+            store(0, 10, 0x40, 9),
+            store(0, 11, 0x40, 9),
+            store(0, 12, 0x40, 9),
+            wpq(0, 0, 20, 0x40, 9, false),
+            wpq(0, 1, 21, 0x40, 9, false),
+            wpq(0, 0, 22, 0x40, 9, false),
+            // No store of core 1 awaits an accept: ignored.
+            wpq(1, 0, 23, 0x40, 9, false),
+            commit(0, 30, 0x40, 9),
+            commit(1, 31, 0x40, 9),
+            // MC 1's queue for the key is empty, MC 2 never accepted it,
+            // and nothing was accepted at 0x48: all ignored.
+            commit(1, 32, 0x40, 9),
+            commit(2, 33, 0x40, 9),
+            commit(0, 34, 0x48, 9),
+        ];
+        let rep = ForensicReport::reconstruct(&records, frontier_one_core(9, Vec::new()));
+        let lineage: Vec<_> = rep
+            .stores
+            .iter()
+            .map(|s| (s.fate, s.mc, s.wpq_cycle, s.commit_cycle))
+            .collect();
+        assert_eq!(
+            lineage,
+            vec![
+                (StoreFate::Committed, 0, Some(20), Some(30)),
+                (StoreFate::Committed, 1, Some(21), Some(31)),
+                (StoreFate::InWpq, 0, Some(22), None),
+            ]
+        );
     }
 
     #[test]

@@ -198,22 +198,6 @@ impl SpillStore {
         ))
     }
 
-    /// Open an existing journal file (e.g. one left behind by a killed
-    /// process) for reading. `bytes()` reports the on-disk length.
-    ///
-    /// # Errors
-    /// Propagates open/metadata failures.
-    pub fn open_readonly(path: &std::path::Path) -> std::io::Result<Arc<SpillStore>> {
-        let file = OpenOptions::new().read(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Arc::new(SpillStore {
-            file,
-            len: AtomicU64::new(len),
-            map: None,
-            seek_lock: Mutex::new(()),
-        }))
-    }
-
     /// The process-global store, created on first use. `None` if the temp
     /// file could not be created (callers then stay unbounded in RAM).
     pub fn global() -> Option<Arc<SpillStore>> {
@@ -422,10 +406,11 @@ mod tests {
         drop(s);
         // The file is still there (not unlinked) and exactly one page long.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), PAGE_BYTES as u64);
-        let r = SpillStore::open_readonly(&path).unwrap();
-        assert_eq!(r.bytes(), PAGE_BYTES as u64);
-        let mut back = [0u64; PAGE_WORDS];
-        r.read_page(off, &mut back);
+        let bytes = std::fs::read(&path).unwrap();
+        let back: Vec<u64> = bytes[off as usize..]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
         assert_eq!(back, p);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

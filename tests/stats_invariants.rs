@@ -77,7 +77,9 @@ fn invariant_checker_rejects_corrupted_stats() {
 /// every op through `advance_core_once` and never idle-skips, so it is the
 /// machine-level reference: both must report a byte-identical `SimStats` —
 /// same cycles, same per-opcode `op_mix`, same stall and occupancy counters
-/// — on completed runs and at power-failure cuts alike.
+/// — on completed runs and at power-failure cuts alike. Besides an early
+/// cut at cycle 1 000, the cuts sit at ⅓ and ⅔ of each run's fault-free
+/// cycle count, so every module and scheme exercises the cut path.
 #[test]
 fn fast_path_and_profiled_machines_report_identical_stats() {
     for seed in [7, 21, 63] {
@@ -90,7 +92,7 @@ fn fast_path_and_profiled_machines_report_identical_stats() {
             Scheme::Capri,
             Scheme::ReplayCache,
         ] {
-            for crash in [None, Some(1_000), Some(25_000)] {
+            let check = |crash: Option<u64>| {
                 let label = format!("gen-{seed}/{}/crash={crash:?}", scheme.name());
                 let mut fast = Machine::new(&compiled.module, &cfg, scheme);
                 let rf = fast
@@ -106,6 +108,13 @@ fn fast_path_and_profiled_machines_report_identical_stats() {
                 if let Err(msg) = rf.stats.check_invariants(cfg.cores as u64) {
                     panic!("{label}:\n{msg}");
                 }
+                (rf.end, rf.stats.cycles, label)
+            };
+            let (end, cycles, label) = check(None);
+            assert_eq!(end, RunEnd::Completed, "{label}");
+            for crash in [1_000, cycles / 3, cycles * 2 / 3] {
+                let (end, _, label) = check(Some(crash));
+                assert_eq!(end, RunEnd::PowerFailure, "{label}");
             }
         }
     }
