@@ -59,14 +59,6 @@ pub struct FuncSummary {
 }
 
 impl FuncSummary {
-    /// Whether the function may touch (read or write) `addr`.
-    pub fn may_access(&self, addr: Word) -> bool {
-        self.stores_unknown
-            || self.loads_unknown
-            || self.stores.contains(&addr)
-            || self.loads.contains(&addr)
-    }
-
     /// Whether the function may write `addr`.
     pub fn may_store(&self, addr: Word) -> bool {
         self.stores_unknown || self.stores.contains(&addr)

@@ -85,6 +85,8 @@ fn parse_args() -> Result<Options, ExitCode> {
 }
 
 fn main() -> ExitCode {
+    // A bad `CWSP_*` value exits 2 here, before any work.
+    cwsp_store::config::get();
     let opts = match parse_args() {
         Ok(o) => o,
         Err(code) => return code,

@@ -235,6 +235,8 @@ fn gather(target: &Target, cores: usize, raw_mode: bool) -> Result<Vec<Subject>,
 }
 
 fn main() -> ExitCode {
+    // A bad `CWSP_*` value exits 2 here, before any work.
+    cwsp_store::config::get();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = match parse_args(&args) {
         Ok(o) => o,

@@ -24,24 +24,12 @@ use cwsp_compiler::pipeline::{CompileOptions, CwspCompiler};
 use cwsp_sim::config::SimConfig;
 use cwsp_sim::machine::Machine;
 use cwsp_sim::scheme::Scheme;
-use std::path::PathBuf;
 
 /// Compute-dense, write-heavy, and transactional — three distinct shapes.
 const DEFAULT_APPS: [&str; 3] = ["namd", "lbm", "tatp"];
 
-/// Event-ring capacity: big enough that short workloads keep their whole
-/// timeline, bounded so long ones stay bounded.
-const TRACE_CAP: usize = 65_536;
-
 fn main() {
     cwsp_bench::harness_main("profile", run);
-}
-
-fn out_dir() -> PathBuf {
-    match std::env::var("CWSP_PROFILE_DIR") {
-        Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/profiles"),
-    }
 }
 
 fn run() {
@@ -51,7 +39,10 @@ fn run() {
     } else {
         args
     };
-    let dir = out_dir();
+    let dir = cwsp_store::config::get()
+        .profile_dir
+        .clone()
+        .unwrap_or_else(|| cwsp_bench::engine::repo_results_dir().join("profiles"));
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
     let cfg = SimConfig::default();
@@ -70,7 +61,7 @@ fn run() {
         for scheme in [Scheme::cwsp(), Scheme::Baseline] {
             let mut machine = Machine::new(&compiled.module, &cfg, scheme);
             machine.enable_profiler();
-            machine.enable_trace(TRACE_CAP);
+            machine.enable_trace(cwsp_store::config::DEFAULT_TRACE_CAPACITY);
             let r = machine
                 .run(u64::MAX, None)
                 .unwrap_or_else(|e| panic!("{name} {}: {e}", scheme.name()));

@@ -35,6 +35,7 @@ use cwsp_ir::module::Module;
 use cwsp_sim::config::SimConfig;
 use cwsp_sim::scheme::Scheme;
 use cwsp_sim::stats::SimStats;
+use cwsp_store::config::{self, ObsDest};
 use cwsp_store::spine::{Key, Spine};
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -322,22 +323,16 @@ impl Engine {
 /// directory, or turn the disk store off).
 pub fn engine() -> &'static Engine {
     static GLOBAL: OnceLock<Engine> = OnceLock::new();
-    GLOBAL.get_or_init(|| match disk_dir_from_env() {
-        None => Engine::in_memory(),
-        Some(dir) => Engine::with_spine(dir),
-    })
-}
-
-fn disk_dir_from_env() -> Option<PathBuf> {
-    if matches!(
-        std::env::var("CWSP_CACHE").as_deref(),
-        Ok("0") | Ok("off") | Ok("false") | Ok("no")
-    ) {
-        return None;
-    }
-    Some(match std::env::var("CWSP_CACHE_DIR") {
-        Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => repo_results_dir().join("cache"),
+    GLOBAL.get_or_init(|| {
+        let c = config::get();
+        if !c.cache {
+            return Engine::in_memory();
+        }
+        Engine::with_spine(
+            c.cache_dir
+                .clone()
+                .unwrap_or_else(|| repo_results_dir().join("cache")),
+        )
     })
 }
 
@@ -350,10 +345,10 @@ pub fn repo_results_dir() -> PathBuf {
 /// Resolved path of the harness report (`CWSP_HARNESS_JSON` overrides the
 /// default `results/BENCH_harness.json`).
 pub fn harness_json_path() -> PathBuf {
-    match std::env::var("CWSP_HARNESS_JSON") {
-        Ok(p) if !p.is_empty() => PathBuf::from(p),
-        _ => repo_results_dir().join("BENCH_harness.json"),
-    }
+    config::get()
+        .harness_json
+        .clone()
+        .unwrap_or_else(|| repo_results_dir().join("BENCH_harness.json"))
 }
 
 /// Merge `entry` into the harness report as a **top-level** section (a
@@ -423,17 +418,9 @@ fn write_harness_doc(path: &Path, doc: &Value) {
     }
 }
 
-/// Worker count: `CWSP_JOBS` if set (≥ 1), else available parallelism.
+/// Worker count: `CWSP_JOBS` if set, else available parallelism.
 pub fn worker_count() -> usize {
-    match std::env::var("CWSP_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    config::get().jobs()
 }
 
 // Pool utilization accounting: per-item busy ns vs. workers × wall ns of
@@ -526,11 +513,14 @@ pub fn percentile_ns(samples: &[u64], p: f64) -> u64 {
 }
 
 /// Wrap a figure binary's body: run it, time it, and merge a per-figure
-/// entry into `results/BENCH_harness.json`. With `CWSP_OBS` set (any value
-/// but `0`/`off`), also dumps the full metrics registry as JSON to stderr —
-/// or to the file `CWSP_OBS` names, when its value contains a path
-/// separator.
+/// entry into `results/BENCH_harness.json`. With `CWSP_OBS` on, also dumps
+/// the full metrics registry as JSON to stderr — or to the file `CWSP_OBS`
+/// names, when its value contains a path separator.
+///
+/// The run configuration is parsed first: a bad `CWSP_*` value exits with
+/// status 2 before any work.
 pub fn harness_main(figure: &str, body: impl FnOnce()) {
+    config::get();
     let e = engine();
     let before = e.counters();
     let lat_cursor = e.job_latency_count();
@@ -579,39 +569,37 @@ pub fn harness_main(figure: &str, body: impl FnOnce()) {
 /// telemetry snapshot there (the storage-smoke CI job asserts the resident
 /// peak against `CWSP_MEM_BUDGET` from this artifact).
 fn dump_tier_snapshot() {
-    let Ok(dest) = std::env::var("CWSP_TIER_JSON") else {
+    let Some(dest) = &config::get().tier_json else {
         return;
     };
-    if dest.is_empty() {
-        return;
-    }
-    if let Some(dir) = Path::new(&dest).parent() {
+    if let Some(dir) = dest.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(err) = std::fs::write(&dest, cwsp_obs::tier::snapshot_json()) {
-        eprintln!("[tier] failed to write {dest}: {err}");
+    if let Err(err) = std::fs::write(dest, cwsp_obs::tier::snapshot_json()) {
+        eprintln!("[tier] failed to write {}: {err}", dest.display());
     }
 }
 
 /// When `CWSP_OBS` is on, publish the engine's metrics into a registry and
 /// dump it (stderr, or the named file when the value looks like a path).
 fn dump_obs_registry(e: &Engine) {
-    let dest = match std::env::var("CWSP_OBS") {
-        Ok(v) if !v.is_empty() && !matches!(v.as_str(), "0" | "off" | "false" | "no") => v,
-        _ => return,
-    };
+    let dest = &config::get().obs;
+    if *dest == ObsDest::Off {
+        return;
+    }
     let mut reg = cwsp_obs::Registry::new();
     e.publish(&mut reg);
     let json = reg.to_json();
-    if dest.contains('/') {
-        if let Some(dir) = Path::new(&dest).parent() {
-            let _ = std::fs::create_dir_all(dir);
+    match dest {
+        ObsDest::File(path) => {
+            if let Some(dir) = path.parent() {
+                let _ = std::fs::create_dir_all(dir);
+            }
+            if let Err(err) = std::fs::write(path, &json) {
+                eprintln!("[obs] failed to write {}: {err}", path.display());
+            }
         }
-        if let Err(err) = std::fs::write(&dest, &json) {
-            eprintln!("[obs] failed to write {dest}: {err}");
-        }
-    } else {
-        eprintln!("[obs] {json}");
+        _ => eprintln!("[obs] {json}"),
     }
 }
 

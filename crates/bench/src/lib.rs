@@ -62,22 +62,6 @@ pub const FIGURES: &[&str] = &[
     "table_hw_overhead",
 ];
 
-/// Trace-ring capacity requested via `CWSP_TRACE`, if tracing is on:
-/// `CWSP_TRACE=1` (or any non-numeric truthy value) selects the default
-/// 65 536-event ring; a value > 1 selects that capacity. `0`/`off`/`false`/
-/// `no`/unset disable tracing.
-pub fn trace_capacity_from_env() -> Option<usize> {
-    match std::env::var("CWSP_TRACE") {
-        Ok(v) if !v.is_empty() && !matches!(v.as_str(), "0" | "off" | "false" | "no") => {
-            match v.parse::<usize>() {
-                Ok(n) if n > 1 => Some(n),
-                _ => Some(65_536),
-            }
-        }
-        _ => None,
-    }
-}
-
 /// One measured data point.
 #[derive(Debug, Clone)]
 pub struct AppResult {
@@ -91,7 +75,7 @@ pub struct AppResult {
 
 /// Run `module` to completion under `scheme` and return its stats.
 ///
-/// With `CWSP_TRACE` set (see [`trace_capacity_from_env`]) the machine
+/// With `CWSP_TRACE` on (`1`, or a ring capacity above 1) the machine
 /// records its event ring while running — stdout is untouched, so figure
 /// output stays byte-identical; the trace is only exported when
 /// `CWSP_TRACE_OUT` names a directory, as one Chrome trace-event JSON file
@@ -105,22 +89,18 @@ pub fn run_to_completion(
     scheme: Scheme,
 ) -> Result<SimStats, InterpError> {
     let mut machine = Machine::new(module, cfg, scheme);
-    let traced = trace_capacity_from_env();
-    if let Some(cap) = traced {
+    let c = cwsp_store::config::get();
+    if let Some(cap) = c.trace {
         machine.enable_trace(cap);
     }
     let r = machine.run(u64::MAX, None)?;
-    if traced.is_some() {
-        if let Ok(dir) = std::env::var("CWSP_TRACE_OUT") {
-            if !dir.is_empty() {
-                export_trace(&machine, &dir, &module.name, scheme);
-            }
-        }
+    if let (Some(_), Some(dir)) = (c.trace, &c.trace_out) {
+        export_trace(&machine, dir, &module.name, scheme);
     }
     Ok(r.stats)
 }
 
-fn export_trace(machine: &Machine, dir: &str, module_name: &str, scheme: Scheme) {
+fn export_trace(machine: &Machine, dir: &std::path::Path, module_name: &str, scheme: Scheme) {
     let Some(chrome) = machine.chrome_trace() else {
         return;
     };
@@ -128,7 +108,7 @@ fn export_trace(machine: &Machine, dir: &str, module_name: &str, scheme: Scheme)
         return;
     }
     let file = format!("{module_name}_{}.trace.json", scheme.name());
-    let _ = std::fs::write(std::path::Path::new(dir).join(file), chrome.to_json());
+    let _ = std::fs::write(dir.join(file), chrome.to_json());
 }
 
 /// Baseline cycles: the *original* (uncompiled) program on the original
@@ -219,14 +199,6 @@ pub fn print_results(title: &str, unit: &str, results: &[AppResult]) {
     println!("--");
     for (label, v) in suite_gmeans(results) {
         println!("   {label:<12} {v:>8.3} {unit} (gmean)");
-    }
-}
-
-/// Print a simple named series (sweep figures).
-pub fn print_series(title: &str, unit: &str, series: &[(String, f64)]) {
-    println!("\n=== {title} ===");
-    for (label, v) in series {
-        println!("   {label:<18} {v:>8.3} {unit}");
     }
 }
 

@@ -648,20 +648,6 @@ impl<'m> Interp<'m> {
         self.frames.last().map(|f| f.pc)
     }
 
-    /// Opcode index (see [`crate::decoded::OPCODE_NAMES`]) of the next
-    /// instruction, or `None` when halted or at a block end (where the next
-    /// step traps).
-    pub fn next_opcode(&self) -> Option<usize> {
-        if self.halted {
-            return None;
-        }
-        let f = self.frames.last()?;
-        if f.pc >= f.limit {
-            return None;
-        }
-        Some(self.dec.op(f.pc).opcode())
-    }
-
     /// Index of the superblock (see [`crate::decoded::SuperOp`]) holding the
     /// next instruction — the profiler's attribution granule under fusion.
     pub fn current_super_op(&self) -> Option<u32> {

@@ -79,6 +79,6 @@ pub mod prelude {
 
 pub use function::{BlockId, Function, InstIdx};
 pub use inst::{AtomicOp, BinOp, Inst, MemRef, Operand};
-pub use memory::{default_budget_pages, with_budget_override, Memory};
+pub use memory::{with_budget_override, Memory};
 pub use module::{FuncId, GlobalId, Module};
 pub use types::{Reg, RegionId, Word};

@@ -43,7 +43,6 @@ use cwsp_store::{tier as telemetry, SpillStore};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Words per page (4 KiB / 8 bytes).
@@ -205,47 +204,6 @@ pub fn with_budget_override<R>(budget: Option<usize>, f: impl FnOnce() -> R) -> 
     f()
 }
 
-/// Parse a `CWSP_MEM_BUDGET` value: a bare number is pages, a `K`/`M`/`G`
-/// suffix is bytes (converted to pages, minimum 1). `0`, `inf`, `none`, and
-/// `unbounded` disable tiering.
-fn parse_budget(s: &str) -> Option<usize> {
-    let lower = s.trim().to_ascii_lowercase();
-    if matches!(lower.as_str(), "" | "0" | "inf" | "none" | "unbounded") {
-        return None;
-    }
-    let (num, bytes_mult) = match lower.as_bytes().last() {
-        Some(b'k') => (&lower[..lower.len() - 1], 1u64 << 10),
-        Some(b'm') => (&lower[..lower.len() - 1], 1 << 20),
-        Some(b'g') => (&lower[..lower.len() - 1], 1 << 30),
-        _ => (lower.as_str(), 0),
-    };
-    let n: u64 = num.trim().parse().ok()?;
-    if n == 0 {
-        return None;
-    }
-    let pages = if bytes_mult == 0 {
-        n
-    } else {
-        (n * bytes_mult) >> PAGE_SHIFT
-    };
-    Some(pages.max(1) as usize)
-}
-
-/// The resident-page budget new memories are built with: the thread-local
-/// test override if set, else `CWSP_MEM_BUDGET` (parsed once per process),
-/// else unbounded.
-pub fn default_budget_pages() -> Option<usize> {
-    if let Some(o) = BUDGET_OVERRIDE.with(|c| c.get()) {
-        return o;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("CWSP_MEM_BUDGET")
-            .ok()
-            .and_then(|s| parse_budget(&s))
-    })
-}
-
 /// Sparse, word-granular memory. Unwritten words read as zero.
 ///
 /// # Example
@@ -282,9 +240,13 @@ impl Default for Memory {
 }
 
 impl Memory {
-    /// An empty (all-zero) memory, tiered per [`default_budget_pages`].
+    /// An empty (all-zero) memory, tiered per the thread's
+    /// [`with_budget_override`] if one is active, else `CWSP_MEM_BUDGET`.
     pub fn new() -> Self {
-        Memory::with_budget(default_budget_pages())
+        let budget = BUDGET_OVERRIDE
+            .with(|c| c.get())
+            .unwrap_or_else(|| cwsp_store::config::get().mem_budget);
+        Memory::with_budget(budget)
     }
 
     /// An empty memory with an explicit resident-page budget (`None` =
@@ -880,20 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_override_and_parse() {
+    fn budget_override_applies_to_new() {
         let m = with_budget_override(Some(4), Memory::new);
         assert_eq!(m.budget_pages(), Some(4));
         let m2 = with_budget_override(None, Memory::new);
         assert!(!m2.tier_enabled());
-        assert_eq!(parse_budget("128"), Some(128));
-        assert_eq!(parse_budget("64K"), Some(16)); // 64 KiB / 4 KiB
-        assert_eq!(parse_budget("1m"), Some(256));
-        assert_eq!(parse_budget("2G"), Some(2 << 18));
-        assert_eq!(parse_budget("0"), None);
-        assert_eq!(parse_budget("inf"), None);
-        assert_eq!(parse_budget("1"), Some(1));
-        assert_eq!(parse_budget("junk"), None);
-        assert_eq!(parse_budget("2K"), Some(1), "sub-page budgets clamp to 1");
     }
 
     #[test]

@@ -210,7 +210,7 @@ pub struct FlightSnapshot {
 /// Snapshot the process-wide flight telemetry.
 pub fn snapshot() -> FlightSnapshot {
     FlightSnapshot {
-        enabled: enabled_by_env(),
+        enabled: cwsp_store::config::get().flight,
         journals: JOURNALS.load(Ordering::Relaxed),
         records: RECORDS.load(Ordering::Relaxed),
         pages: PAGES.load(Ordering::Relaxed),
@@ -228,25 +228,6 @@ pub fn publish(reg: &mut crate::Registry) {
     reg.add_counter("flight.pages", s.pages);
     reg.add_counter("flight.bytes", s.bytes);
     reg.add_counter("flight.dropped", s.dropped);
-}
-
-/// Whether `CWSP_FLIGHT` asks for the recorder (`1`/`on`/`true`/`yes`).
-pub fn enabled_by_env() -> bool {
-    matches!(
-        std::env::var("CWSP_FLIGHT").as_deref(),
-        Ok("1") | Ok("on") | Ok("true") | Ok("yes")
-    )
-}
-
-/// The journal directory requested by `CWSP_FLIGHT_DIR`, if any. When set,
-/// journals are named files that survive the process being killed; when
-/// unset, they ride the unlinked spill-file discipline (readable in-process
-/// after a simulated crash, gone at process exit).
-pub fn journal_dir() -> Option<PathBuf> {
-    match std::env::var("CWSP_FLIGHT_DIR") {
-        Ok(d) if !d.is_empty() => Some(PathBuf::from(d)),
-        _ => None,
-    }
 }
 
 /// The flight recorder: buffers records in one page and flushes full pages
@@ -270,7 +251,7 @@ impl FlightRecorder {
     /// # Errors
     /// Propagates journal-file creation failures.
     pub fn create() -> std::io::Result<FlightRecorder> {
-        FlightRecorder::build(journal_dir().as_deref())
+        FlightRecorder::build(cwsp_store::config::get().flight_dir.as_deref())
     }
 
     /// Open a recorder with a named journal file under `dir` (survives the
@@ -312,8 +293,8 @@ impl FlightRecorder {
 
     /// A recorder only if `CWSP_FLIGHT` asks for one (and the journal file
     /// could be created) — the zero-cost-off gate.
-    pub fn from_env() -> Option<FlightRecorder> {
-        if enabled_by_env() {
+    pub fn from_config() -> Option<FlightRecorder> {
+        if cwsp_store::config::get().flight {
             FlightRecorder::create().ok()
         } else {
             None

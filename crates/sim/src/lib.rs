@@ -53,7 +53,6 @@ pub mod profiler;
 pub mod race;
 pub mod scheme;
 pub mod stats;
-pub mod threaded;
 pub mod trace;
 pub mod wbuf;
 

@@ -288,7 +288,7 @@ impl<'m> Machine<'m> {
             resume_meta,
             trace: None,
             profiler: None,
-            flight: FlightRecorder::from_env(),
+            flight: FlightRecorder::from_config(),
             resume_dyn: vec![None; cfg.cores],
             nvm_drained: Vec::new(),
             live_logs_cache: 0,
@@ -1175,6 +1175,20 @@ impl<'m> Machine<'m> {
             // the recovery point advances past it (it must never re-execute).
             self.cores[i].sync_drain = false;
             let mut writes = std::mem::take(&mut self.cores[i].sync_writes);
+            if let Some((rp, _)) = &self.cores[i].sync_resume {
+                // Recovery resumes at the `ckpt` run right after the atomic,
+                // whose slice reloads the atomic's result from its slot: the
+                // slot words persist with the atomic, or a kill before those
+                // checkpoint stores drain replays a stale result. The core
+                // stalled since the atomic issued, so its registers still
+                // hold exactly what the checkpoints will store.
+                let interp = &self.cores[i].interp;
+                let insts = &self.module.function(rp.func).block(rp.block).insts[rp.idx..];
+                for inst in insts {
+                    let Inst::Ckpt { reg } = *inst else { break };
+                    writes.push((layout::ckpt_slot_addr(i, reg), interp.reg(reg)));
+                }
+            }
             for &(a, v) in &writes {
                 self.nvm.store(a, v);
                 self.stats.nvm_writes += 1;

@@ -430,8 +430,8 @@ pub fn run_schedule(
 }
 
 /// Sweep `cfg.schedules` seeded interleavings and union the races found.
-/// Schedules fan out over [`crate::threaded::default_threads`] host threads
-/// (`CWSP_MC_THREADS`); each schedule is an independent seeded replay and the
+/// Schedules fan out over `CWSP_JOBS` host threads (default: available
+/// parallelism); each schedule is an independent seeded replay and the
 /// findings merge in seed order, so the report is byte-identical at any
 /// thread count.
 ///
@@ -439,11 +439,11 @@ pub fn run_schedule(
 /// Propagates the first interpreter trap from any schedule (lowest seed
 /// index wins when several trap).
 pub fn check_module(module: &Module, cfg: &OracleConfig) -> Result<OracleReport, InterpError> {
-    check_module_threaded(module, cfg, crate::threaded::default_threads())
+    check_module_threaded(module, cfg, cwsp_store::config::get().jobs())
 }
 
 /// [`check_module`] with an explicit host thread count (for tests that pin
-/// the fan-out rather than reading `CWSP_MC_THREADS`).
+/// the fan-out rather than reading `CWSP_JOBS`).
 ///
 /// # Errors
 /// Propagates the first interpreter trap from any schedule, in seed order.
