@@ -110,11 +110,19 @@ pub fn check_function(f: &Function, slices: &SliceTable, out: &mut Vec<Diagnosti
         if !reachable[b.index()] {
             continue;
         }
+        // Registers live across each boundary of the block, in program
+        // order, from one backward sweep.
+        let mut live_across = Vec::new();
+        live.walk_back(f, b, |_, inst, l| {
+            if matches!(inst, Inst::Boundary { .. }) {
+                live_across.push(l.clone());
+            }
+        });
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             let Inst::Boundary { id } = inst else {
                 continue;
             };
-            let live_in = live.live_after(f, b, i);
+            let live_in = live_across.pop().expect("one live set per boundary");
             let slice = slices.get(*id);
 
             // --- I2: every live-in register must be restorable. ---

@@ -151,9 +151,8 @@ pub fn check_function(
                     inst,
                     Inst::Boundary { .. } | Inst::Call { .. } | Inst::AtomicRmw { .. }
                 ) {
-                    let uses = inst.uses();
                     for d in defs(inst) {
-                        let hazard_at = if uses.contains(&d) {
+                        let hazard_at = if inst.uses().any(|u| u == d) {
                             // `r = f(r, ...)` reads region-entry state only
                             // when it is the region's first instruction.
                             (p > 0).then_some(p)
@@ -181,7 +180,7 @@ pub fn check_function(
                             }
                         }
                     }
-                    for u in uses {
+                    for u in inst.uses() {
                         ctx.last_use.insert(u, p);
                     }
                 }

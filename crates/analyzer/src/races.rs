@@ -382,7 +382,7 @@ fn refine_edge(
 
 /// Whether `inst` writes register `r`.
 fn defines(inst: &Inst, r: cwsp_ir::types::Reg) -> bool {
-    cwsp_compiler::liveness::defs(inst).contains(&r)
+    cwsp_compiler::liveness::defs(inst).any(|d| d == r)
 }
 
 /// The self-loop acquire pattern: a `CondBr` block with one successor equal

@@ -136,7 +136,7 @@ impl SlotSync {
                     found = true;
                     break;
                 }
-                if defs(inst).contains(&r) {
+                if defs(inst).any(|d| d == r) {
                     steps.push(WitnessStep {
                         block: cur.0,
                         idx: i,

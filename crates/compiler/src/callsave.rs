@@ -19,18 +19,17 @@ pub fn compute_call_saves(module: &mut Module) -> usize {
     let mut total = 0;
     for fid in 0..module.function_count() {
         let fid = cwsp_ir::module::FuncId(fid as u32);
-        let f = module.function(fid).clone();
-        let lv = Liveness::compute(&f);
+        let f = module.function(fid);
+        let lv = Liveness::compute(f);
         let mut updates: Vec<(u32, usize, Vec<Reg>)> = Vec::new();
-        for (bid, block) in f.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
+        for (bid, _) in f.iter_blocks() {
+            lv.walk_back(f, bid, |i, inst, live| {
                 if let Inst::Call { ret, .. } = inst {
-                    let live = lv.live_after(&f, bid, i);
                     let saves: Vec<Reg> = live.iter().filter(|r| Some(*r) != *ret).collect();
                     total += saves.len();
                     updates.push((bid.0, i, saves));
                 }
-            }
+            });
         }
         let fm = module.function_mut(fid);
         for (b, i, saves) in updates {

@@ -18,8 +18,7 @@
 //! register has at that boundary (verified dynamically by
 //! [`crate::verify::check_slices`]).
 
-use crate::liveness::{defs, Liveness, RegSet};
-use cwsp_ir::cfg;
+use crate::liveness::{defs, solve_backward, Liveness, RegSet};
 use cwsp_ir::function::Function;
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
@@ -44,14 +43,13 @@ pub fn insert_checkpoints(module: &mut Module, mode: CkptMode) -> usize {
     let mut total = 0;
     for fid in 0..module.function_count() {
         let fid = cwsp_ir::module::FuncId(fid as u32);
-        let f = module.function(fid).clone();
+        let f = module.function(fid);
         let positions = match mode {
-            CkptMode::DefSite => def_site_positions(&f),
-            CkptMode::PerBoundary => per_boundary_positions(&f),
+            CkptMode::DefSite => def_site_positions(f),
+            CkptMode::PerBoundary => per_boundary_positions(f),
         };
         total += positions.values().map(Vec::len).sum::<usize>();
-        let fm = module.function_mut(fid);
-        apply_positions(fm, positions);
+        apply_positions(module.function_mut(fid), positions);
     }
     total
 }
@@ -59,14 +57,23 @@ pub fn insert_checkpoints(module: &mut Module, mode: CkptMode) -> usize {
 /// Positions keyed by `(block, insert-before-idx)` → registers to checkpoint.
 type Positions = BTreeMap<(u32, usize), Vec<Reg>>;
 
+/// Rebuild each block that gains checkpoints in one pass: the registers of
+/// position `(b, i)` are checkpointed, in order, just before instruction `i`.
 fn apply_positions(f: &mut Function, positions: Positions) {
-    // Insert bottom-up per block so indices stay valid.
-    for (&(b, i), regs) in positions.iter().rev() {
-        let insts = &mut f.blocks[b as usize].insts;
-        for r in regs.iter().rev() {
-            insts.insert(i, Inst::Ckpt { reg: *r });
+    let mut positions = positions.into_iter().peekable();
+    while let Some(&((b, _), _)) = positions.peek() {
+        let block = &mut f.blocks[b as usize].insts;
+        let old = std::mem::take(block);
+        for (i, inst) in old.into_iter().enumerate() {
+            while let Some(((_, _), regs)) = positions.next_if(|&((pb, pi), _)| pb == b && pi == i)
+            {
+                block.extend(regs.into_iter().map(|reg| Inst::Ckpt { reg }));
+            }
+            block.push(inst);
         }
-        let _ = i;
+        while let Some((_, regs)) = positions.next_if(|&((pb, _), _)| pb == b) {
+            block.extend(regs.into_iter().map(|reg| Inst::Ckpt { reg }));
+        }
     }
 }
 
@@ -75,16 +82,12 @@ fn apply_positions(f: &mut Function, positions: Positions) {
 fn per_boundary_positions(f: &Function) -> Positions {
     let lv = Liveness::compute(f);
     let mut pos: Positions = BTreeMap::new();
-    for (bid, block) in f.iter_blocks() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            if matches!(inst, Inst::Boundary { .. }) {
-                let live = lv.live_after(f, bid, i);
-                let regs: Vec<Reg> = live.iter().collect();
-                if !regs.is_empty() {
-                    pos.insert((bid.0, i), regs);
-                }
+    for (bid, _) in f.iter_blocks() {
+        lv.walk_back(f, bid, |i, inst, live| {
+            if matches!(inst, Inst::Boundary { .. }) && !live.is_empty() {
+                pos.insert((bid.0, i), live.iter().collect());
             }
-        }
+        });
     }
     pos
 }
@@ -97,61 +100,49 @@ fn per_boundary_positions(f: &Function) -> Positions {
 /// placed right after the definition and `r` leaves the set. Residual needs at
 /// function entry (parameters and zero-initialized registers) are checkpointed
 /// at the top of the entry block.
+///
+/// One liveness walk per block summarizes it as gen (registers live across
+/// one of its boundaries and not defined above that boundary) and kill (the
+/// registers it defines); the block fixpoint runs on the summaries, and a
+/// second walk per block records the sites.
 fn def_site_positions(f: &Function) -> Positions {
     let lv = Liveness::compute(f);
     let nregs = f.reg_count as usize;
-    let nblocks = f.blocks.len();
-    // needs_in[b] = needs at the top of block b (flowing backward).
-    let mut needs_in = vec![RegSet::new(nregs); nblocks];
-    let order: Vec<_> = {
-        let mut rpo = cfg::reverse_post_order(f);
-        rpo.reverse();
-        rpo
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let mut needs = RegSet::new(nregs);
-            for s in cfg::successors(f, b) {
-                needs.union_with(&needs_in[s.index()]);
+    let mut gen = vec![RegSet::new(nregs); f.blocks.len()];
+    let mut kill = vec![RegSet::new(nregs); f.blocks.len()];
+    for (bid, _) in f.iter_blocks() {
+        let (g, k) = (&mut gen[bid.index()], &mut kill[bid.index()]);
+        lv.walk_back(f, bid, |_, inst, live| {
+            for d in defs(inst) {
+                g.remove(d);
+                k.insert(d);
             }
-            let insts = &f.block(b).insts;
-            for i in (0..insts.len()).rev() {
-                transfer(f, &lv, b, i, &mut needs);
+            if matches!(inst, Inst::Boundary { .. }) {
+                g.union_with(live);
             }
-            if needs != needs_in[b.index()] {
-                needs_in[b.index()] = needs;
-                changed = true;
-            }
-        }
+        });
     }
+    // needs_out[b] = needs at the bottom of block b (flowing backward).
+    let (_, needs_out) = solve_backward(f, &gen, &kill);
     // Final sweep: record checkpoint sites deterministically.
     let mut pos: Positions = BTreeMap::new();
-    for (bid, block) in f.iter_blocks() {
-        let mut needs = RegSet::new(nregs);
-        for s in cfg::successors(f, bid) {
-            needs.union_with(&needs_in[s.index()]);
-        }
-        // Walk backward recording sites.
-        let mut sites: Vec<(usize, Reg)> = Vec::new();
-        for i in (0..block.insts.len()).rev() {
-            for d in defs(&block.insts[i]) {
-                if needs.contains(d) {
-                    sites.push((i + 1, d)); // checkpoint right after the def
+    for ((bid, _), mut needs) in f.iter_blocks().zip(needs_out) {
+        lv.walk_back(f, bid, |i, inst, live| {
+            for d in defs(inst) {
+                if needs.remove(d) {
+                    // checkpoint right after the def
+                    pos.entry((bid.0, i + 1)).or_default().push(d);
                 }
             }
-            transfer(f, &lv, bid, i, &mut needs);
-        }
-        for (i, r) in sites {
-            pos.entry((bid.0, i)).or_default().push(r);
-        }
-        if bid == f.entry() {
-            // Residual needs: parameters and zero-initialized registers.
-            let residual: Vec<Reg> = needs.iter().collect();
-            if !residual.is_empty() {
-                pos.entry((bid.0, 0)).or_default().extend(residual);
+            if matches!(inst, Inst::Boundary { .. }) {
+                // Every register live across this boundary needs a persisted
+                // copy.
+                needs.union_with(live);
             }
+        });
+        if bid == f.entry() && !needs.is_empty() {
+            // Residual needs: parameters and zero-initialized registers.
+            pos.entry((bid.0, 0)).or_default().extend(needs.iter());
         }
     }
     for regs in pos.values_mut() {
@@ -159,26 +150,6 @@ fn def_site_positions(f: &Function) -> Positions {
         regs.dedup();
     }
     pos
-}
-
-/// Backward transfer of the needs set across instruction `(b, i)`.
-fn transfer(
-    f: &Function,
-    lv: &Liveness,
-    b: cwsp_ir::function::BlockId,
-    i: usize,
-    needs: &mut RegSet,
-) {
-    let inst = &f.block(b).insts[i];
-    // Definitions satisfy (and kill) the need.
-    for d in defs(inst) {
-        needs.remove(d);
-    }
-    if matches!(inst, Inst::Boundary { .. }) {
-        // Every register live across this boundary needs a persisted copy.
-        let live = lv.live_after(f, b, i);
-        needs.union_with(&live);
-    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,8 @@ pub mod alias;
 pub mod autofence;
 pub mod callsave;
 pub mod checkpoint;
+#[cfg(test)]
+mod dataflow_ref;
 pub mod liveness;
 pub mod opt;
 pub mod pipeline;

@@ -32,11 +32,13 @@ impl RegSet {
         self.bits[w] != old
     }
 
-    /// Remove `r`.
+    /// Remove `r`; returns whether it was a member.
     #[inline]
-    pub fn remove(&mut self, r: Reg) {
+    pub fn remove(&mut self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
+        let old = self.bits[w];
         self.bits[w] &= !(1 << b);
+        self.bits[w] != old
     }
 
     /// Membership test.
@@ -57,12 +59,29 @@ impl RegSet {
         changed
     }
 
+    /// Remove every member.
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+
+    /// `self = gen ∪ (self − kill)`: a gen/kill transfer in place.
+    pub fn transfer(&mut self, gen: &RegSet, kill: &RegSet) {
+        for ((a, g), k) in self.bits.iter_mut().zip(&gen.bits).zip(&kill.bits) {
+            *a = g | (*a & !k);
+        }
+    }
+
     /// Iterate members in ascending register order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits >> b & 1 == 1)
-                .map(move |b| Reg((w * 64 + b) as u32))
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    Reg((w * 64 + b) as u32)
+                })
+            })
         })
     }
 
@@ -81,89 +100,118 @@ impl RegSet {
 /// defines its `save_regs` — the restore phase reloads them from the frame
 /// (see `cwsp-ir` call semantics), which is a definition as far as dataflow
 /// is concerned.
-pub fn defs(inst: &Inst) -> Vec<Reg> {
-    let mut d: Vec<Reg> = inst.def().into_iter().collect();
-    if let Inst::Call { save_regs, .. } = inst {
-        d.extend(save_regs.iter().copied());
-    }
-    d
+pub fn defs(inst: &Inst) -> impl Iterator<Item = Reg> + '_ {
+    let saves: &[Reg] = match inst {
+        Inst::Call { save_regs, .. } => save_regs,
+        _ => &[],
+    };
+    inst.def().into_iter().chain(saves.iter().copied())
 }
 
-/// Per-function liveness result: live-in sets at each block entry.
+/// Backward transfer across one instruction: its definitions die, then its
+/// uses become live.
+#[inline]
+fn step_back(inst: &Inst, live: &mut RegSet) {
+    for d in defs(inst) {
+        live.remove(d);
+    }
+    for u in inst.uses() {
+        live.insert(u);
+    }
+}
+
+/// Solve a backward gen/kill problem over the blocks reachable from entry:
+/// `in[b] = gen[b] ∪ (out[b] − kill[b])`, `out[b] = ∪ in[succ]`, iterated in
+/// post-order to the least fixpoint. Unreachable blocks keep an empty `in`.
+/// Returns `(in, out)` for every block.
+pub(crate) fn solve_backward(
+    f: &Function,
+    gen: &[RegSet],
+    kill: &[RegSet],
+) -> (Vec<RegSet>, Vec<RegSet>) {
+    let nregs = f.reg_count as usize;
+    let succs: Vec<Vec<BlockId>> = f
+        .iter_blocks()
+        .map(|(b, _)| cfg::successors(f, b))
+        .collect();
+    let mut order = cfg::reverse_post_order(f);
+    order.reverse();
+    let mut ins = vec![RegSet::new(nregs); f.blocks.len()];
+    let mut outs = vec![RegSet::new(nregs); f.blocks.len()];
+    let mut next = RegSet::new(nregs);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &order {
+            next.clear();
+            for s in &succs[b.index()] {
+                next.union_with(&ins[s.index()]);
+            }
+            next.transfer(&gen[b.index()], &kill[b.index()]);
+            if next != ins[b.index()] {
+                std::mem::swap(&mut ins[b.index()], &mut next);
+                changed = true;
+            }
+        }
+    }
+    for (out, succ) in outs.iter_mut().zip(&succs) {
+        for s in succ {
+            out.union_with(&ins[s.index()]);
+        }
+    }
+    (ins, outs)
+}
+
+/// Per-function liveness: the registers live at each block's entry and exit.
+///
+/// Point queries go through [`Liveness::walk_back`], which sweeps a block
+/// once from its exit set; there is no per-point query that rescans.
 #[derive(Debug, Clone)]
 pub struct Liveness {
     /// `live_in[b]` = registers live at the entry of block `b`.
     pub live_in: Vec<RegSet>,
-    nregs: usize,
+    live_out: Vec<RegSet>,
 }
 
 impl Liveness {
-    /// Compute liveness for `f` with the classic backward worklist algorithm.
+    /// Compute liveness for `f`: one backward walk per block summarizes its
+    /// upward-exposed uses and its definitions, then the block-level
+    /// fixpoint runs on those summaries alone.
     pub fn compute(f: &Function) -> Self {
         let nregs = f.reg_count as usize;
-        let nblocks = f.blocks.len();
-        let mut live_in = vec![RegSet::new(nregs); nblocks];
-        let preds = cfg::predecessors(f);
-        // Iterate blocks in reverse RPO until fixpoint.
-        let order: Vec<BlockId> = {
-            let mut rpo = cfg::reverse_post_order(f);
-            rpo.reverse();
-            rpo
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                // live-out = union of successors' live-in
-                let mut live = RegSet::new(nregs);
-                for s in cfg::successors(f, b) {
-                    live.union_with(&live_in[s.index()]);
+        let mut gen = vec![RegSet::new(nregs); f.blocks.len()];
+        let mut kill = vec![RegSet::new(nregs); f.blocks.len()];
+        for (bid, block) in f.iter_blocks() {
+            let (g, k) = (&mut gen[bid.index()], &mut kill[bid.index()]);
+            for inst in block.insts.iter().rev() {
+                for d in defs(inst) {
+                    g.remove(d);
+                    k.insert(d);
                 }
-                // transfer backward through the block
-                for inst in f.block(b).insts.iter().rev() {
-                    for d in defs(inst) {
-                        live.remove(d);
-                    }
-                    for u in inst.uses() {
-                        live.insert(u);
-                    }
-                }
-                if live != live_in[b.index()] {
-                    live_in[b.index()] = live;
-                    changed = true;
-                    // Touch predecessors on next sweep (the full-resweep
-                    // worklist is simple and fast enough at our sizes).
-                    let _ = &preds;
+                for u in inst.uses() {
+                    g.insert(u);
                 }
             }
         }
-        Liveness { live_in, nregs }
+        let (live_in, live_out) = solve_backward(f, &gen, &kill);
+        Liveness { live_in, live_out }
     }
 
-    /// Registers live immediately *before* instruction `idx` of block `b`.
-    ///
-    /// Recomputed by a backward scan of the block suffix — O(block length),
-    /// which is fine for the pass workloads here.
-    pub fn live_before(&self, f: &Function, b: BlockId, idx: usize) -> RegSet {
-        let mut live = RegSet::new(self.nregs);
-        for s in cfg::successors(f, b) {
-            live.union_with(&self.live_in[s.index()]);
+    /// Walk block `b` backward once, last instruction first, calling
+    /// `visit(i, inst, live)` with the registers live immediately *after*
+    /// instruction `i`. Each program point is visited once, so a pass that
+    /// needs liveness at many points of a block pays for one sweep.
+    pub fn walk_back(
+        &self,
+        f: &Function,
+        b: BlockId,
+        mut visit: impl FnMut(usize, &Inst, &RegSet),
+    ) {
+        let mut live = self.live_out[b.index()].clone();
+        for (i, inst) in f.block(b).insts.iter().enumerate().rev() {
+            visit(i, inst, &live);
+            step_back(inst, &mut live);
         }
-        let insts = &f.block(b).insts;
-        for i in (idx..insts.len()).rev() {
-            for d in defs(&insts[i]) {
-                live.remove(d);
-            }
-            for u in insts[i].uses() {
-                live.insert(u);
-            }
-        }
-        live
-    }
-
-    /// Registers live immediately *after* instruction `idx` of block `b`.
-    pub fn live_after(&self, f: &Function, b: BlockId, idx: usize) -> RegSet {
-        self.live_before(f, b, idx + 1)
     }
 }
 
@@ -207,14 +255,15 @@ mod tests {
         let f = b.build();
         let lv = Liveness::compute(&f);
         assert!(lv.live_in[0].is_empty(), "nothing live at entry");
-        // before the add, r0 is live; r1 is not
-        let before_add = lv.live_before(&f, e, 1);
-        assert!(before_add.contains(r0));
-        assert!(!before_add.contains(r1));
+        let mut after = vec![RegSet::default(); 4];
+        lv.walk_back(&f, e, |i, _, live| after[i] = live.clone());
+        // before the add (after the mov), r0 is live; r1 is not
+        assert!(after[0].contains(r0));
+        assert!(!after[0].contains(r1));
         // after the add, r1 is live, r0 dead
-        let after_add = lv.live_after(&f, e, 1);
-        assert!(after_add.contains(r1));
-        assert!(!after_add.contains(r0));
+        assert!(after[1].contains(r1));
+        assert!(!after[1].contains(r0));
+        assert!(after[3].is_empty(), "nothing live after halt");
     }
 
     #[test]
@@ -237,8 +286,8 @@ mod tests {
             ret: Some(Reg(2)),
             save_regs: vec![Reg(5)],
         };
-        let d = defs(&call);
-        assert!(d.contains(&Reg(2)) && d.contains(&Reg(5)));
+        let d: Vec<Reg> = defs(&call).collect();
+        assert_eq!(d, vec![Reg(2), Reg(5)]);
     }
 
     #[test]

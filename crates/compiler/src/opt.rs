@@ -9,10 +9,11 @@
 //! established afterwards).
 
 use crate::liveness::{defs, Liveness};
+use cwsp_ir::function::BlockId;
+use cwsp_ir::fxhash::FxHashMap;
 use cwsp_ir::inst::{Inst, MemRef, Operand};
 use cwsp_ir::module::Module;
 use cwsp_ir::types::{Reg, Word};
-use std::collections::HashMap;
 
 /// Statistics from one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,9 +68,9 @@ pub fn fold_constants(module: &mut Module) -> usize {
     for fid in 0..module.function_count() {
         let f = module.function_mut(cwsp_ir::module::FuncId(fid as u32));
         for block in &mut f.blocks {
-            let mut consts: HashMap<Reg, Word> = HashMap::new();
+            let mut consts: FxHashMap<Reg, Word> = FxHashMap::default();
             for inst in &mut block.insts {
-                let subst = |op: &mut Operand, consts: &HashMap<Reg, Word>, n: &mut usize| {
+                let subst = |op: &mut Operand, consts: &FxHashMap<Reg, Word>, n: &mut usize| {
                     if let Operand::Reg(r) = op {
                         if let Some(&c) = consts.get(r) {
                             *op = Operand::Imm(c);
@@ -155,10 +156,10 @@ pub fn propagate_copies(module: &mut Module) -> usize {
     for fid in 0..module.function_count() {
         let f = module.function_mut(cwsp_ir::module::FuncId(fid as u32));
         for block in &mut f.blocks {
-            let mut copies: HashMap<Reg, Reg> = HashMap::new();
+            let mut copies: FxHashMap<Reg, Reg> = FxHashMap::default();
             for inst in &mut block.insts {
                 // Rewrite uses first.
-                let rewrite = |op: &mut Operand, copies: &HashMap<Reg, Reg>, n: &mut usize| {
+                let rewrite = |op: &mut Operand, copies: &FxHashMap<Reg, Reg>, n: &mut usize| {
                     if let Operand::Reg(r) = op {
                         if let Some(&s) = copies.get(r) {
                             *op = Operand::Reg(s);
@@ -198,8 +199,7 @@ pub fn propagate_copies(module: &mut Module) -> usize {
                     _ => {}
                 }
                 // Kill invalidated copies, then record new ones.
-                let ds = defs(inst);
-                copies.retain(|d, s| !ds.contains(d) && !ds.contains(s));
+                copies.retain(|d, s| !defs(inst).any(|x| x == *d || x == *s));
                 if let Inst::Mov {
                     dst,
                     src: Operand::Reg(s),
@@ -222,33 +222,42 @@ pub fn eliminate_dead_code(module: &mut Module) -> usize {
     let mut removed = 0;
     for fid in 0..module.function_count() {
         let fid = cwsp_ir::module::FuncId(fid as u32);
-        let f = module.function(fid).clone();
-        let lv = Liveness::compute(&f);
-        let mut deletions: Vec<(usize, usize)> = Vec::new();
-        for (bid, block) in f.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
+        let f = module.function(fid);
+        let lv = Liveness::compute(f);
+        let mut dead: Vec<(BlockId, Vec<usize>)> = Vec::new();
+        for (bid, _) in f.iter_blocks() {
+            let mut idx = Vec::new();
+            lv.walk_back(f, bid, |i, inst, live| {
+                // Loads are pure for DCE purposes in this IR (no volatile).
                 let pure = matches!(
                     inst,
                     Inst::Binary { .. } | Inst::Mov { .. } | Inst::Load { .. }
                 );
-                if !pure {
-                    continue;
+                if pure && inst.def().is_some_and(|d| !live.contains(d)) {
+                    idx.push(i);
                 }
-                let Some(d) = inst.def() else { continue };
-                // Loads are pure for DCE purposes in this IR (no volatile).
-                let live_after = lv.live_after(&f, bid, i);
-                if !live_after.contains(d) {
-                    deletions.push((bid.index(), i));
-                }
+            });
+            if !idx.is_empty() {
+                dead.push((bid, idx));
             }
         }
-        removed += deletions.len();
         let fm = module.function_mut(fid);
-        for (b, i) in deletions.into_iter().rev() {
-            fm.blocks[b].insts.remove(i);
+        for (bid, idx) in dead {
+            removed += idx.len();
+            remove_insts(&mut fm.block_mut(bid).insts, &idx);
         }
     }
     removed
+}
+
+/// Delete the instructions at indices `idx` (any order) in one pass.
+pub(crate) fn remove_insts(insts: &mut Vec<Inst>, idx: &[usize]) {
+    let mut drop = vec![false; insts.len()];
+    for &i in idx {
+        drop[i] = true;
+    }
+    let mut drop = drop.into_iter();
+    insts.retain(|_| !drop.next().unwrap_or(false));
 }
 
 #[cfg(test)]

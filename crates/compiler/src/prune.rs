@@ -15,14 +15,14 @@
 //! re-applying the defining operations at recovery time, and its own
 //! checkpoint is deleted.
 
-use crate::liveness::{defs, Liveness};
-use crate::reaching::{DefSite, ReachingDefs};
+use crate::liveness::{defs, Liveness, RegSet};
+use crate::opt::remove_insts;
+use crate::reaching::{DefSite, ReachingDefs, SiteId};
 use crate::slice::{RecoverySlice, RematExpr, RsSource, SliceTable};
 use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::{Inst, Operand};
-use cwsp_ir::module::Module;
-use cwsp_ir::types::{Reg, Word};
-use std::collections::{HashMap, HashSet};
+use cwsp_ir::module::{FuncId, Module};
+use cwsp_ir::types::{Reg, RegionId, Word};
 
 /// Caps on rematerialization expressions.
 const MAX_EXPR_NODES: usize = 12;
@@ -41,6 +41,27 @@ pub struct PruneInfo {
     pub expr_restores: usize,
 }
 
+/// A dense set of definition-site ids.
+struct SiteSet(Vec<u64>);
+
+impl SiteSet {
+    fn new(rd: &ReachingDefs) -> Self {
+        SiteSet(vec![0; rd.site_count().div_ceil(64)])
+    }
+
+    fn insert(&mut self, s: SiteId) {
+        self.0[s as usize / 64] |= 1 << (s % 64);
+    }
+
+    fn contains(&self, s: SiteId) -> bool {
+        self.0[s as usize / 64] >> (s % 64) & 1 == 1
+    }
+}
+
+/// Constant-fold results per site id: `None` not yet asked, `Some(None)`
+/// not a constant (or a cycle in progress), `Some(Some(c))` constant `c`.
+type Memo = Vec<Option<Option<Word>>>;
+
 /// Generate recovery slices for every explicit region boundary and, when
 /// `prune` is set, delete checkpoints that no slice slot-loads.
 pub fn prune_and_build_slices(
@@ -51,127 +72,164 @@ pub fn prune_and_build_slices(
     let mut table = SliceTable::new();
     let mut info = PruneInfo::default();
     for fid in 0..module.function_count() {
-        let fid = cwsp_ir::module::FuncId(fid as u32);
-        let f = module.function(fid).clone();
-        let lv = Liveness::compute(&f);
-        let rd = ReachingDefs::compute(&f);
-        let mut memo: HashMap<(DefSite, Reg), Option<Word>> = HashMap::new();
-
-        // Round 1: per boundary, resolve constants; everything else is
-        // tentatively slot-backed. Collect the optimistic slot-needed set.
-        struct Boundary {
-            id: cwsp_ir::types::RegionId,
-            bid: BlockId,
-            idx: usize,
-            consts: Vec<(Reg, Word)>,
-            tentative: Vec<Reg>,
+        let fid = FuncId(fid as u32);
+        let (slices, dead) = prune_function(module.function(fid), prune, expr_remat, &mut info);
+        for (id, slice) in slices {
+            table.insert(id, slice);
         }
-        let mut boundaries: Vec<Boundary> = Vec::new();
-        let mut slot_all: HashSet<(DefSite, Reg)> = HashSet::new();
-        for (bid, block) in f.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
-                let Inst::Boundary { id } = inst else {
-                    continue;
+        let f = module.function_mut(fid);
+        for (bid, idx) in dead {
+            info.ckpts_pruned += idx.len();
+            remove_insts(&mut f.block_mut(bid).insts, &idx);
+        }
+    }
+    (table, info)
+}
+
+/// One boundary's live-ins after round 1.
+struct Boundary {
+    id: RegionId,
+    bid: BlockId,
+    idx: usize,
+    consts: Vec<(Reg, Word)>,
+    tentative: Vec<Reg>,
+}
+
+/// How a non-constant live-in is restored: its slot, or an expression plus
+/// the sites whose checkpoints the expression's slot leaves read.
+enum Res {
+    Slot,
+    Expr(RematExpr, Vec<SiteId>),
+}
+
+/// Slices of `f`'s boundaries, plus the checkpoints to delete per block.
+#[allow(clippy::type_complexity)]
+fn prune_function(
+    f: &Function,
+    prune: bool,
+    expr_remat: bool,
+    info: &mut PruneInfo,
+) -> (Vec<(RegionId, RecoverySlice)>, Vec<(BlockId, Vec<usize>)>) {
+    let lv = Liveness::compute(f);
+    let rd = ReachingDefs::compute(f);
+    let mut memo: Memo = vec![None; rd.site_count()];
+
+    // Round 1: per boundary, resolve constants; everything else is
+    // tentatively slot-backed. Collect the optimistic slot-needed set.
+    let mut boundaries: Vec<Boundary> = Vec::new();
+    let mut slot_all = SiteSet::new(&rd);
+    let mut live_at: Vec<(RegionId, usize, RegSet)> = Vec::new();
+    for (bid, _) in f.iter_blocks() {
+        lv.walk_back(f, bid, |i, inst, live| {
+            if let Inst::Boundary { id } = inst {
+                live_at.push((*id, i, live.clone()));
+            }
+        });
+        for (id, i, live) in live_at.drain(..).rev() {
+            let mut consts = Vec::new();
+            let mut tentative = Vec::new();
+            for r in live.iter() {
+                let sites = rd.at(bid, i, r);
+                let constv = match sites.single() {
+                    Some(site) if prune => const_value(f, &rd, &mut memo, site, r, 0),
+                    _ => None,
                 };
-                let live = lv.live_after(&f, bid, i);
-                let mut consts = Vec::new();
-                let mut tentative = Vec::new();
-                for r in live.iter() {
-                    let sites = rd.at(&f, bid, i, r);
-                    let constv = if prune && sites.len() == 1 {
-                        let site = *sites.iter().next().unwrap();
-                        const_value(&f, &rd, &mut memo, site, r, 0)
-                    } else {
-                        None
-                    };
-                    match constv {
-                        Some(c) => consts.push((r, c)),
-                        None => {
-                            for s in sites {
-                                slot_all.insert((s, r));
-                            }
-                            tentative.push(r);
-                        }
+                match constv {
+                    Some(c) => consts.push((r, c)),
+                    None => {
+                        sites.iter().for_each(|s| slot_all.insert(s));
+                        tentative.push(r);
                     }
                 }
-                boundaries.push(Boundary {
-                    id: *id,
-                    bid,
-                    idx: i,
-                    consts,
-                    tentative,
-                });
             }
+            boundaries.push(Boundary {
+                id,
+                bid,
+                idx: i,
+                consts,
+                tentative,
+            });
         }
+    }
 
-        // Round 2: optimistic expression upgrades — a leaf `slot_s` is usable
-        // when every reaching definition of `s` at the read point is in the
-        // (current) slot-needed set and `s` is not redefined on the way to
-        // the boundary. Record each expression's leaf dependencies.
-        #[derive(Clone)]
-        enum Res {
-            Slot,
-            Expr(RematExpr, Vec<(Reg, HashSet<(DefSite, Reg)>)>),
-        }
-        let mut resolutions: Vec<Vec<(Reg, Res)>> = Vec::new();
-        for b in &boundaries {
+    // Round 2: optimistic expression upgrades — a leaf `slot_s` is usable
+    // when every reaching definition of `s` at the read point is in the
+    // (current) slot-needed set and `s` is not redefined on the way to
+    // the boundary. Record each expression's leaf dependencies.
+    let mut walk = RegionWalk {
+        entered: vec![false; f.blocks.len()],
+        touched: Vec::new(),
+        work: Vec::new(),
+    };
+    let mut region_defs = RegSet::new(f.reg_count as usize);
+    let mut resolutions: Vec<Vec<(Reg, Res)>> = Vec::new();
+    for b in &boundaries {
+        let upgrade = prune && expr_remat && !b.tentative.is_empty();
+        if upgrade {
             // Registers the region *starting at this boundary* may define:
             // their checkpoint slots can be overwritten in place while the
             // region is the (unlogged) head, so no expression leaf may read
             // them (the bug class the crash property tests hunt for).
-            let region_defs = region_defined_regs(&f, b.bid, b.idx);
-            let mut per = Vec::new();
-            for &r in &b.tentative {
-                let res = if prune && expr_remat {
-                    build_expr(&f, &rd, &memo, b.bid, b.idx, r, &slot_all, &region_defs)
-                        .map(|(e, deps)| Res::Expr(e, deps))
-                        .unwrap_or(Res::Slot)
-                } else {
-                    Res::Slot
-                };
-                per.push((r, res));
-            }
-            resolutions.push(per);
+            region_defined_regs(f, b.bid, b.idx, &mut walk, &mut region_defs);
         }
+        let cx = upgrade.then_some(ExprCx {
+            f,
+            rd: &rd,
+            memo: &memo,
+            slot_all: &slot_all,
+            region_defs: &region_defs,
+            boundary: (b.bid, b.idx),
+        });
+        let per = b
+            .tentative
+            .iter()
+            .map(|&r| {
+                let res = cx
+                    .as_ref()
+                    .and_then(|cx| cx.build_expr(r))
+                    .map_or(Res::Slot, |(e, deps)| Res::Expr(e, deps));
+                (r, res)
+            })
+            .collect();
+        resolutions.push(per);
+    }
 
-        // Fixpoint: recompute the keep-set from the current resolutions and
-        // demote any expression whose leaves lost their backing.
-        loop {
-            let mut keep: HashSet<(DefSite, Reg)> = HashSet::new();
-            for (b, per) in boundaries.iter().zip(&resolutions) {
-                for (r, res) in per {
-                    if matches!(res, Res::Slot) {
-                        for s in rd.at(&f, b.bid, b.idx, *r) {
-                            keep.insert((s, *r));
-                        }
-                    }
-                }
-            }
-            let mut changed = false;
-            for per in &mut resolutions {
-                for (_, res) in per.iter_mut() {
-                    if let Res::Expr(_, deps) = res {
-                        let ok = deps
-                            .iter()
-                            .all(|(_, sites)| sites.iter().all(|sr| keep.contains(sr)));
-                        if !ok {
-                            *res = Res::Slot;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                // Final keep-set decides checkpoint deletion.
-                if prune {
-                    info.ckpts_pruned += delete_unneeded_ckpts(module.function_mut(fid), &keep);
-                }
-                break;
-            }
-        }
-
-        // Emit slices.
+    // Fixpoint: recompute the keep-set from the current resolutions and
+    // demote any expression whose leaves lost their backing.
+    let keep = loop {
+        let mut keep = SiteSet::new(&rd);
         for (b, per) in boundaries.iter().zip(&resolutions) {
+            for (r, res) in per {
+                if matches!(res, Res::Slot) {
+                    rd.at(b.bid, b.idx, *r).iter().for_each(|s| keep.insert(s));
+                }
+            }
+        }
+        let mut changed = false;
+        for (_, res) in resolutions.iter_mut().flatten() {
+            if let Res::Expr(_, deps) = res {
+                if !deps.iter().all(|&s| keep.contains(s)) {
+                    *res = Res::Slot;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break keep;
+        }
+    };
+    // The final keep-set decides checkpoint deletion.
+    let dead = if prune {
+        unneeded_ckpts(f, &rd, &keep)
+    } else {
+        Vec::new()
+    };
+
+    // Emit slices.
+    let slices = boundaries
+        .iter()
+        .zip(resolutions)
+        .map(|(b, per)| {
             let mut slice = RecoverySlice::default();
             for &(r, c) in &b.consts {
                 info.const_restores += 1;
@@ -181,197 +239,113 @@ pub fn prune_and_build_slices(
                 match res {
                     Res::Slot => {
                         info.slot_restores += 1;
-                        slice.restores.push((*r, RsSource::Slot));
+                        slice.restores.push((r, RsSource::Slot));
                     }
                     Res::Expr(e, _) => {
                         info.expr_restores += 1;
-                        slice.restores.push((*r, RsSource::Expr(e.clone())));
+                        slice.restores.push((r, RsSource::Expr(e)));
                     }
                 }
             }
-            table.insert(b.id, slice);
+            (b.id, slice)
+        })
+        .collect();
+    (slices, dead)
+}
+
+/// What building a rematerialization expression for one boundary reads.
+struct ExprCx<'a> {
+    f: &'a Function,
+    rd: &'a ReachingDefs,
+    memo: &'a Memo,
+    slot_all: &'a SiteSet,
+    region_defs: &'a RegSet,
+    /// The boundary point `(block, index)`.
+    boundary: (BlockId, usize),
+}
+
+impl ExprCx<'_> {
+    /// Try to build a rematerialization expression for `r` at the boundary.
+    /// Returns the expression plus the definition sites whose checkpoints
+    /// its slot leaves depend on.
+    fn build_expr(&self, r: Reg) -> Option<(RematExpr, Vec<SiteId>)> {
+        let (b, i) = self.boundary;
+        let site = self.rd.at(b, i, r).single()?;
+        let mut deps = Vec::new();
+        let expr = self.expr_for_site(site, r, &mut deps, 0)?;
+        if expr.size() > MAX_EXPR_NODES || matches!(expr, RematExpr::Slot(_)) {
+            return None;
         }
-    }
-    (table, info)
-}
-
-/// A rematerialization expression plus, per slot leaf, the definition sites
-/// whose checkpoints the expression depends on.
-type ExprWithDeps = (RematExpr, Vec<(Reg, HashSet<(DefSite, Reg)>)>);
-
-/// Try to build a rematerialization expression for `r` at boundary point
-/// `(b, i)`. Returns the expression plus, per slot leaf, the definition sites
-/// whose checkpoints the expression depends on.
-#[allow(clippy::too_many_arguments)]
-fn build_expr(
-    f: &Function,
-    rd: &ReachingDefs,
-    memo: &HashMap<(DefSite, Reg), Option<Word>>,
-    b: BlockId,
-    i: usize,
-    r: Reg,
-    slot_all: &HashSet<(DefSite, Reg)>,
-    region_defs: &HashSet<Reg>,
-) -> Option<ExprWithDeps> {
-    let sites = rd.at(f, b, i, r);
-    if sites.len() != 1 {
-        return None;
-    }
-    let site = *sites.iter().next().unwrap();
-    let mut deps = Vec::new();
-    let expr = expr_for_site(
-        f,
-        rd,
-        memo,
-        b,
-        i,
-        site,
-        r,
-        slot_all,
-        region_defs,
-        &mut deps,
-        0,
-    )?;
-    if expr.size() > MAX_EXPR_NODES || matches!(expr, RematExpr::Slot(_)) {
-        return None;
-    }
-    let mut leaves = Vec::new();
-    expr.slot_leaves(&mut leaves);
-    if leaves.contains(&r) {
-        return None;
-    }
-    Some((expr, deps))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn expr_for_site(
-    f: &Function,
-    rd: &ReachingDefs,
-    memo: &HashMap<(DefSite, Reg), Option<Word>>,
-    bb: BlockId,
-    bi: usize,
-    site: DefSite,
-    r: Reg,
-    slot_all: &HashSet<(DefSite, Reg)>,
-    region_defs: &HashSet<Reg>,
-    deps: &mut Vec<(Reg, HashSet<(DefSite, Reg)>)>,
-    depth: usize,
-) -> Option<RematExpr> {
-    if depth > MAX_EXPR_DEPTH {
-        return None;
-    }
-    if let Some(Some(c)) = memo.get(&(site, r)) {
-        return Some(RematExpr::Const(*c));
-    }
-    let DefSite::Inst(db, di) = site else {
-        return None;
-    };
-    match &f.block(db).insts[di] {
-        Inst::Mov { dst, src } if *dst == r => operand_expr(
-            f,
-            rd,
-            memo,
-            bb,
-            bi,
-            *src,
-            db,
-            di,
-            slot_all,
-            region_defs,
-            deps,
-            depth,
-        ),
-        Inst::Binary { op, dst, lhs, rhs } if *dst == r => {
-            let l = operand_expr(
-                f,
-                rd,
-                memo,
-                bb,
-                bi,
-                *lhs,
-                db,
-                di,
-                slot_all,
-                region_defs,
-                deps,
-                depth,
-            )?;
-            let rr = operand_expr(
-                f,
-                rd,
-                memo,
-                bb,
-                bi,
-                *rhs,
-                db,
-                di,
-                slot_all,
-                region_defs,
-                deps,
-                depth,
-            )?;
-            Some(RematExpr::Bin(*op, Box::new(l), Box::new(rr)))
+        let mut leaves = Vec::new();
+        expr.slot_leaves(&mut leaves);
+        if leaves.contains(&r) {
+            return None;
         }
-        _ => None,
+        Some((expr, deps))
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn operand_expr(
-    f: &Function,
-    rd: &ReachingDefs,
-    memo: &HashMap<(DefSite, Reg), Option<Word>>,
-    bb: BlockId,
-    bi: usize,
-    op: Operand,
-    db: BlockId,
-    di: usize,
-    slot_all: &HashSet<(DefSite, Reg)>,
-    region_defs: &HashSet<Reg>,
-    deps: &mut Vec<(Reg, HashSet<(DefSite, Reg)>)>,
-    depth: usize,
-) -> Option<RematExpr> {
-    match op {
-        Operand::Imm(v) => {
-            if cwsp_ir::layout::is_tagged_global(v) {
-                None
-            } else {
-                Some(RematExpr::Const(v))
+    fn expr_for_site(
+        &self,
+        site: SiteId,
+        r: Reg,
+        deps: &mut Vec<SiteId>,
+        depth: usize,
+    ) -> Option<RematExpr> {
+        if depth > MAX_EXPR_DEPTH {
+            return None;
+        }
+        if let Some(Some(c)) = self.memo[site as usize] {
+            return Some(RematExpr::Const(c));
+        }
+        let DefSite::Inst(db, di) = self.rd.site(site) else {
+            return None;
+        };
+        match &self.f.block(db).insts[di] {
+            Inst::Mov { dst, src } if *dst == r => self.operand_expr(*src, db, di, deps, depth),
+            Inst::Binary { op, dst, lhs, rhs } if *dst == r => {
+                let l = self.operand_expr(*lhs, db, di, deps, depth)?;
+                let rr = self.operand_expr(*rhs, db, di, deps, depth)?;
+                Some(RematExpr::Bin(*op, Box::new(l), Box::new(rr)))
             }
+            _ => None,
         }
-        Operand::Reg(s) => {
-            let sites_here = rd.at(f, db, di, s);
-            // Slot leaf: every reaching definition of `s` here is
-            // checkpoint-backed, `s` is not redefined between this read point
-            // and the boundary (identical reaching-def sets), and — crucially
-            // — the boundary's own region never defines `s` (it would
-            // overwrite `s`'s slot in place while the region is the unlogged
-            // head, corrupting this expression at recovery).
-            let backed = sites_here.iter().all(|d| slot_all.contains(&(*d, s)));
-            if backed && !region_defs.contains(&s) {
-                let sites_at_boundary = rd.at(f, bb, bi, s);
-                if sites_at_boundary == sites_here {
-                    deps.push((s, sites_here.iter().map(|d| (*d, s)).collect()));
-                    return Some(RematExpr::Slot(s));
+    }
+
+    fn operand_expr(
+        &self,
+        op: Operand,
+        db: BlockId,
+        di: usize,
+        deps: &mut Vec<SiteId>,
+        depth: usize,
+    ) -> Option<RematExpr> {
+        match op {
+            Operand::Imm(v) => {
+                if cwsp_ir::layout::is_tagged_global(v) {
+                    None
+                } else {
+                    Some(RematExpr::Const(v))
                 }
             }
-            if sites_here.len() != 1 {
-                return None;
+            Operand::Reg(s) => {
+                let sites_here = self.rd.at(db, di, s);
+                // Slot leaf: every reaching definition of `s` here is
+                // checkpoint-backed, `s` is not redefined between this read
+                // point and the boundary (identical reaching-def sets), and —
+                // crucially — the boundary's own region never defines `s` (it
+                // would overwrite `s`'s slot in place while the region is the
+                // unlogged head, corrupting this expression at recovery).
+                let backed = sites_here.iter().all(|d| self.slot_all.contains(d));
+                if backed && !self.region_defs.contains(s) {
+                    let (bb, bi) = self.boundary;
+                    if self.rd.at(bb, bi, s) == sites_here {
+                        deps.extend(sites_here.iter());
+                        return Some(RematExpr::Slot(s));
+                    }
+                }
+                let site = sites_here.single()?;
+                self.expr_for_site(site, s, deps, depth + 1)
             }
-            let site = *sites_here.iter().next().unwrap();
-            expr_for_site(
-                f,
-                rd,
-                memo,
-                bb,
-                bi,
-                site,
-                s,
-                slot_all,
-                region_defs,
-                deps,
-                depth + 1,
-            )
         }
     }
 }
@@ -380,20 +354,20 @@ fn operand_expr(
 fn const_value(
     f: &Function,
     rd: &ReachingDefs,
-    memo: &mut HashMap<(DefSite, Reg), Option<Word>>,
-    site: DefSite,
+    memo: &mut Memo,
+    site: SiteId,
     r: Reg,
     depth: usize,
 ) -> Option<Word> {
     if depth > 16 {
         return None;
     }
-    if let Some(v) = memo.get(&(site, r)) {
-        return *v;
+    if let Some(v) = memo[site as usize] {
+        return v;
     }
     // Seed the memo with None to break cycles through loops.
-    memo.insert((site, r), None);
-    let v = match site {
+    memo[site as usize] = Some(None);
+    let v = match rd.site(site) {
         DefSite::Entry => {
             // Parameters are runtime values; all other registers start at 0.
             if r.0 < f.param_count {
@@ -402,29 +376,24 @@ fn const_value(
                 Some(0)
             }
         }
-        DefSite::Inst(b, i) => {
-            let inst = &f.block(b).insts[i];
-            match inst {
-                Inst::Mov { dst, src } if *dst == r => {
-                    operand_const(f, rd, memo, *src, b, i, depth)
-                }
-                Inst::Binary { op, dst, lhs, rhs } if *dst == r => {
-                    let l = operand_const(f, rd, memo, *lhs, b, i, depth)?;
-                    let rr = operand_const(f, rd, memo, *rhs, b, i, depth)?;
-                    Some(op.eval(l, rr))
-                }
-                _ => None,
+        DefSite::Inst(b, i) => match &f.block(b).insts[i] {
+            Inst::Mov { dst, src } if *dst == r => operand_const(f, rd, memo, *src, b, i, depth),
+            Inst::Binary { op, dst, lhs, rhs } if *dst == r => {
+                let l = operand_const(f, rd, memo, *lhs, b, i, depth)?;
+                let rr = operand_const(f, rd, memo, *rhs, b, i, depth)?;
+                Some(op.eval(l, rr))
             }
-        }
+            _ => None,
+        },
     };
-    memo.insert((site, r), v);
+    memo[site as usize] = Some(v);
     v
 }
 
 fn operand_const(
     f: &Function,
     rd: &ReachingDefs,
-    memo: &mut HashMap<(DefSite, Reg), Option<Word>>,
+    memo: &mut Memo,
     op: Operand,
     b: BlockId,
     i: usize,
@@ -443,86 +412,98 @@ fn operand_const(
             }
         }
         Operand::Reg(s) => {
-            let sites = rd.at(f, b, i, s);
-            if sites.len() != 1 {
-                return None;
-            }
-            const_value(f, rd, memo, *sites.iter().next().unwrap(), s, depth + 1)
+            let site = rd.at(b, i, s).single()?;
+            const_value(f, rd, memo, site, s, depth + 1)
         }
     }
+}
+
+/// Scratch for [`region_defined_regs`], reused across the boundaries of a
+/// function.
+struct RegionWalk {
+    /// Blocks entered by the current walk (all false between walks).
+    entered: Vec<bool>,
+    touched: Vec<BlockId>,
+    work: Vec<(BlockId, usize)>,
 }
 
 /// Registers possibly defined by the region that starts at boundary
-/// `(b, i)`: a bounded walk from the instruction after the boundary until the
-/// next region break (boundary, call, return, halt) on every path.
-fn region_defined_regs(f: &Function, b: BlockId, i: usize) -> HashSet<Reg> {
-    let mut out = HashSet::new();
-    let mut work: Vec<(BlockId, usize)> = vec![(b, i + 1)];
-    let mut visited: HashSet<(u32, usize)> = HashSet::new();
-    while let Some((bid, mut idx)) = work.pop() {
-        if !visited.insert((bid.0, idx)) || visited.len() > 4096 {
-            continue;
-        }
-        while let Some(inst) = f.block(bid).insts.get(idx) {
-            match inst {
+/// `(b, i)`, into `out`: a walk from the instruction after the boundary until
+/// the next region break (boundary, call, return, halt) on every path. Each
+/// block is entered at most once, so the walk is bounded by the function's
+/// size.
+fn region_defined_regs(
+    f: &Function,
+    b: BlockId,
+    i: usize,
+    walk: &mut RegionWalk,
+    out: &mut RegSet,
+) {
+    out.clear();
+    let RegionWalk {
+        entered,
+        touched,
+        work,
+    } = walk;
+    work.push((b, i + 1));
+    while let Some((bid, idx)) = work.pop() {
+        for inst in f.block(bid).insts.get(idx..).unwrap_or_default() {
+            let targets = match inst {
                 Inst::Boundary { .. } | Inst::Call { .. } | Inst::Ret { .. } | Inst::Halt => {
                     break;
                 }
-                Inst::Br { target } => {
-                    work.push((*target, 0));
-                    break;
-                }
+                Inst::Br { target } => [Some(*target), None],
                 Inst::CondBr {
                     if_true, if_false, ..
-                } => {
-                    work.push((*if_true, 0));
-                    work.push((*if_false, 0));
-                    break;
-                }
+                } => [Some(*if_true), Some(*if_false)],
                 other => {
-                    out.extend(defs(other));
-                    idx += 1;
+                    for d in defs(other) {
+                        out.insert(d);
+                    }
+                    continue;
+                }
+            };
+            for t in targets.into_iter().flatten() {
+                if !entered[t.index()] {
+                    entered[t.index()] = true;
+                    touched.push(t);
+                    work.push((t, 0));
                 }
             }
+            break;
         }
     }
-    out
+    for t in touched.drain(..) {
+        entered[t.index()] = false;
+    }
 }
 
-/// Delete `Ckpt` instructions whose definition site is not slot-needed.
-fn delete_unneeded_ckpts(f: &mut Function, slot_needed: &HashSet<(DefSite, Reg)>) -> usize {
-    let mut deletions: Vec<(usize, usize)> = Vec::new();
-    for (bi, block) in f.blocks.iter().enumerate() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            let Inst::Ckpt { reg } = inst else { continue };
-            let site = owning_def_site(block, BlockId(bi as u32), i, *reg);
-            if !slot_needed.contains(&(site, *reg)) {
-                deletions.push((bi, i));
-            }
+/// `Ckpt` instructions whose definition site is not slot-needed, per block.
+/// A checkpoint belongs to the nearest preceding definition of its register
+/// in the same block, or to the function-entry site for entry-top
+/// checkpoints.
+fn unneeded_ckpts(f: &Function, rd: &ReachingDefs, keep: &SiteSet) -> Vec<(BlockId, Vec<usize>)> {
+    let mut dead = Vec::new();
+    for (bid, block) in f.iter_blocks() {
+        let idx: Vec<usize> = block
+            .insts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, inst)| {
+                let Inst::Ckpt { reg } = inst else {
+                    return None;
+                };
+                let site = rd
+                    .local_def(bid, i, *reg)
+                    .unwrap_or_else(|| rd.entry_site(*reg));
+                (!keep.contains(site)).then_some(i)
+            })
+            .collect();
+        if !idx.is_empty() {
+            dead.push((bid, idx));
         }
     }
-    let n = deletions.len();
-    for (bi, i) in deletions.into_iter().rev() {
-        f.blocks[bi].insts.remove(i);
-    }
-    n
-}
-
-/// The definition site a checkpoint instruction belongs to: the nearest
-/// preceding definition of `reg` in the same block, or the function-entry
-/// pseudo-site for entry-top checkpoints.
-fn owning_def_site(
-    block: &cwsp_ir::function::Block,
-    bid: BlockId,
-    ckpt_idx: usize,
-    reg: Reg,
-) -> DefSite {
-    for j in (0..ckpt_idx).rev() {
-        if defs(&block.insts[j]).contains(&reg) {
-            return DefSite::Inst(bid, j);
-        }
-    }
-    DefSite::Entry
+    dead
 }
 
 #[cfg(test)]
@@ -676,6 +657,52 @@ mod tests {
                 .any(|(_, src)| matches!(src, RsSource::Slot))
         });
         assert!(any_slot);
+    }
+
+    #[test]
+    fn leaf_redefined_far_into_a_long_region_stays_slot_backed() {
+        // entry: r0 = load; ckpt r0; boundary R0; r1 = r0 << 1; ckpt r1;
+        //        boundary R1; br b1
+        // b1..bN: br next (N > 4096, no boundary)
+        // bN: r0 = 7; out r1; out r0; halt
+        // R1 would restore r1 as `slot(r0) << 1`, but R1 itself redefines
+        // r0 in its last block, so r1 must load its own slot.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main", 0);
+        let e = b.entry();
+        let r0 = b.load(e, MemRef::abs(64));
+        b.push(e, Inst::Ckpt { reg: r0 });
+        b.push(e, Inst::Boundary { id: RegionId(0) });
+        let r1 = b.bin(e, BinOp::Shl, r0.into(), Operand::imm(1));
+        b.push(e, Inst::Ckpt { reg: r1 });
+        b.push(e, Inst::Boundary { id: RegionId(1) });
+        let mut cur = e;
+        for _ in 0..4200 {
+            let next = b.block();
+            b.push(cur, Inst::Br { target: next });
+            cur = next;
+        }
+        b.push(
+            cur,
+            Inst::Mov {
+                dst: r0,
+                src: Operand::imm(7),
+            },
+        );
+        b.push(cur, Inst::Out { val: r1.into() });
+        b.push(cur, Inst::Out { val: r0.into() });
+        b.push(cur, Inst::Halt);
+        let id = m.add_function(b.build());
+        m.set_entry(id);
+        let (table, _) = prune_and_build_slices(&mut m, true, true);
+        assert_eq!(
+            table.get(RegionId(1)).unwrap().restores,
+            vec![(r1, RsSource::Slot)]
+        );
+        assert_eq!(
+            table.get(RegionId(0)).unwrap().restores,
+            vec![(r0, RsSource::Slot)]
+        );
     }
 
     #[test]

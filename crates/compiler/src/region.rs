@@ -326,10 +326,8 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                     _ => {}
                 }
                 // Register WAR: defs after prior uses (or same-inst use+def).
-                let uses = inst.uses();
-                let defs = crate::liveness::defs(inst);
-                for d in &defs {
-                    if uses.contains(d) {
+                for d in crate::liveness::defs(inst) {
+                    if inst.uses().any(|u| u == d) {
                         // Use and def in one instruction (e.g. `r = r + 1`):
                         // the only valid cut is immediately before it, so the
                         // instruction reads region-entry state (which the
@@ -339,11 +337,11 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                         if p > 0 {
                             intervals.push((p - 1, p));
                         }
-                    } else if let Some(&u) = last_use.get(d) {
+                    } else if let Some(&u) = last_use.get(&d) {
                         intervals.push((u, p));
                     }
                 }
-                for u in uses {
+                for u in inst.uses() {
                     last_use.insert(u, p);
                 }
                 st.transfer(inst);

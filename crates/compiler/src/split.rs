@@ -119,7 +119,7 @@ mod tests {
             for inst in &block.insts {
                 if let Some(d) = inst.def() {
                     if !matches!(inst, Inst::Mov { .. } | Inst::Call { .. }) {
-                        assert!(!inst.uses().contains(&d), "{inst:?}");
+                        assert!(!inst.uses().any(|u| u == d), "{inst:?}");
                     }
                 }
             }

@@ -111,9 +111,7 @@ impl Function {
                         self.name
                     ));
                 }
-                let mut regs = inst.uses();
-                regs.extend(inst.def());
-                for r in regs {
+                for r in inst.uses().chain(inst.def()) {
                     if r.0 >= self.reg_count {
                         return Err(format!(
                             "{}/{bid}[{i}]: register {r} out of range (reg_count={})",

@@ -293,56 +293,51 @@ impl Inst {
     }
 
     /// The registers this instruction uses (reads), in evaluation order.
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
-        let mut op = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
+    ///
+    /// Allocation-free: at most three fixed operands, then a call's
+    /// arguments and the registers its spill phase reads (`save_regs`).
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
+        let none: [Option<Reg>; 3] = [None; 3];
+        let (fixed, args, saves): (_, &[Operand], &[Reg]) = match self {
+            Inst::Binary { lhs, rhs, .. } => ([lhs.as_reg(), rhs.as_reg(), None], &[], &[]),
+            Inst::Mov { src: o, .. }
+            | Inst::Load {
+                addr: MemRef { base: o, .. },
+                ..
             }
-        };
-        match self {
-            Inst::Binary { lhs, rhs, .. } => {
-                op(lhs);
-                op(rhs);
-            }
-            Inst::Mov { src, .. } => op(src),
-            Inst::Load { addr, .. } => op(&addr.base),
-            Inst::Store { src, addr } => {
-                op(src);
-                op(&addr.base);
-            }
-            Inst::CondBr { cond, .. } => op(cond),
+            | Inst::CondBr { cond: o, .. }
+            | Inst::Ret { val: Some(o) }
+            | Inst::Out { val: o }
+            | Inst::FlushLine {
+                addr: MemRef { base: o, .. },
+            } => ([o.as_reg(), None, None], &[], &[]),
+            Inst::Store { src, addr } => ([src.as_reg(), addr.base.as_reg(), None], &[], &[]),
             Inst::Call {
                 args, save_regs, ..
-            } => {
-                for a in args {
-                    op(a);
-                }
-                // The spill phase reads the saved registers.
-                out.extend(save_regs.iter().copied());
-            }
-            Inst::Ret { val: Some(v) } => op(v),
+            } => (none, args, save_regs),
             Inst::AtomicRmw {
                 addr,
                 src,
                 expected,
                 ..
-            } => {
-                op(&addr.base);
-                op(src);
-                op(expected);
-            }
-            Inst::Ckpt { reg } => out.push(*reg),
-            Inst::Out { val } => op(val),
-            Inst::FlushLine { addr } => op(&addr.base),
+            } => (
+                [addr.base.as_reg(), src.as_reg(), expected.as_reg()],
+                &[],
+                &[],
+            ),
+            Inst::Ckpt { reg } => ([Some(*reg), None, None], &[], &[]),
             Inst::Br { .. }
             | Inst::Ret { val: None }
             | Inst::Fence
             | Inst::PFence
             | Inst::Boundary { .. }
-            | Inst::Halt => {}
-        }
-        out
+            | Inst::Halt => (none, &[], &[]),
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(args.iter().filter_map(|a| a.as_reg()))
+            .chain(saves.iter().copied())
     }
 
     /// Whether this instruction ends a basic block.
@@ -385,11 +380,11 @@ mod tests {
     fn def_use_sets() {
         let i = Inst::binary(BinOp::Add, Reg(2), Reg(0).into(), Reg(1).into());
         assert_eq!(i.def(), Some(Reg(2)));
-        assert_eq!(i.uses(), vec![Reg(0), Reg(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(0), Reg(1)]);
 
         let s = Inst::store(Reg(3).into(), MemRef::reg(Reg(4), 8));
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![Reg(3), Reg(4)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![Reg(3), Reg(4)]);
 
         let c = Inst::Call {
             func: FuncId(0),
@@ -398,7 +393,7 @@ mod tests {
             save_regs: vec![Reg(7)],
         };
         assert_eq!(c.def(), Some(Reg(9)));
-        assert_eq!(c.uses(), vec![Reg(1), Reg(7)]);
+        assert_eq!(c.uses().collect::<Vec<_>>(), vec![Reg(1), Reg(7)]);
     }
 
     #[test]
@@ -415,7 +410,7 @@ mod tests {
             expected: Operand::imm(0),
         };
         assert!(rmw.is_sync());
-        assert_eq!(rmw.uses(), vec![]);
+        assert_eq!(rmw.uses().count(), 0);
     }
 
     #[test]
@@ -424,10 +419,10 @@ mod tests {
             addr: MemRef::reg(Reg(3), 16),
         };
         assert_eq!(fl.def(), None);
-        assert_eq!(fl.uses(), vec![Reg(3)]);
+        assert_eq!(fl.uses().collect::<Vec<_>>(), vec![Reg(3)]);
         assert!(!fl.is_sync() && !fl.is_terminator());
         assert_eq!(Inst::PFence.def(), None);
-        assert!(Inst::PFence.uses().is_empty());
+        assert_eq!(Inst::PFence.uses().count(), 0);
         assert!(!Inst::PFence.is_sync() && !Inst::PFence.is_terminator());
     }
 
