@@ -39,14 +39,17 @@
 //! its entry and is evicted (counted in [`IncrStats::evicted`]). Aging is
 //! per-module, not global: one cache streaming a whole corpus (the lint
 //! front-end, the fuzz farm) must not evict module A's entries just because
-//! hundreds of other modules passed through in between.
+//! hundreds of other modules passed through in between. Eviction costs the
+//! same: each module indexes the keys of the entries it stamped last, so
+//! the sweep after a run visits only the running module's entries, however
+//! many other modules the cache holds.
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Report};
 use crate::summaries::{body_summary, FuncSummary, Summaries};
 use cwsp_compiler::slice::SliceTable;
 use cwsp_ir::function::Function;
-use cwsp_ir::fxhash::FxHasher;
+use cwsp_ir::fxhash::{FxHashMap, FxHasher};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
 use cwsp_obs::sink::{NullSink, ObsSink};
@@ -63,7 +66,7 @@ use std::time::Instant;
 const FMT_VERSION: u64 = 2;
 
 /// Runs of an entry's own module it may go unused before eviction.
-const KEEP_GENERATIONS: u64 = 4;
+const KEEP_GENERATIONS: u32 = 4;
 
 /// Cache traffic counters, cumulative over the cache's lifetime. Published
 /// through [`ObsSink`] as `analyzer.incr.*` (per-run deltas).
@@ -89,10 +92,82 @@ pub struct IncrStats {
 /// how-many-eth run. Eviction compares an entry's stamp only against *its
 /// own* module's run counter, so unrelated modules streaming through the
 /// cache never age it.
+///
+/// Run counters are 32-bit and wrap: every run of a module sweeps every
+/// entry it stamped, so a live stamp is never more than
+/// [`KEEP_GENERATIONS`] runs old and the wrapping difference is its exact
+/// age. The narrow stamp keeps each cache entry 8 bytes smaller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Stamp {
     mid: u32,
-    run: u64,
+    run: u32,
+}
+
+impl Stamp {
+    /// Whether an entry stamped `self` is stale in run `cur` of its module.
+    fn stale_at(self, cur: Stamp) -> bool {
+        cur.run.wrapping_sub(self.run) > KEEP_GENERATIONS
+    }
+}
+
+/// What the cache knows per module (indexed by module id). A module's sets
+/// are as small as its function count, so they are sorted vectors: smaller
+/// than hash sets, and searched in a few probes.
+#[derive(Default)]
+struct ModuleIndex {
+    /// Runs of this module so far (wrapping; see [`Stamp`]).
+    runs: u32,
+    /// Sorted keys of the entries, in any of the three tables, that this
+    /// module stamped when another module (or none) held them: a superset
+    /// of the entries whose stamp names this module, which are exactly the
+    /// entries its eviction may drop. Keys that other modules have stamped
+    /// since are dropped at this module's next eviction.
+    owned: Vec<u64>,
+    /// Function names of this module, sorted, with the fingerprint last
+    /// seen under each.
+    names: Vec<(Box<str>, NameEntry)>,
+}
+
+impl ModuleIndex {
+    fn name(&self, func: &str) -> Result<usize, usize> {
+        self.names.binary_search_by(|(n, _)| (**n).cmp(func))
+    }
+}
+
+/// Record that the running module (`cur`) stamped the entry under `key`,
+/// previously stamped `old` (`None` for a new entry).
+fn restamp(modules: &mut [ModuleIndex], key: u64, old: Option<Stamp>, cur: Stamp) {
+    if old.is_some_and(|old| old.mid == cur.mid) {
+        return;
+    }
+    let keys = &mut modules[cur.mid as usize].owned;
+    if let Err(i) = keys.binary_search(&key) {
+        keys.insert(i, key);
+    }
+}
+
+/// Eviction of one table's entry under `key` by module `cur.mid`: drops it
+/// when that module stamped it last more than [`KEEP_GENERATIONS`] of its
+/// runs ago, counting it in `evicted`. Returns whether the module still
+/// holds a live entry under `key`.
+fn sweep<V>(
+    table: &mut FxHashMap<u64, V>,
+    key: u64,
+    stamp: fn(&V) -> Stamp,
+    cur: Stamp,
+    evicted: &mut u64,
+) -> bool {
+    match table.get(&key).map(stamp) {
+        Some(s) if s.mid == cur.mid => {
+            let stale = s.stale_at(cur);
+            if stale {
+                table.remove(&key);
+                *evicted += 1;
+            }
+            !stale
+        }
+        _ => false,
+    }
 }
 
 struct DiagEntry {
@@ -113,7 +188,8 @@ struct SccEntry {
 
 struct NameEntry {
     fp: u64,
-    stamp: Stamp,
+    /// Run of the owning module that last saw the name.
+    run: u32,
 }
 
 /// The per-function analysis-summary cache behind [`analyze_incremental`].
@@ -121,18 +197,17 @@ struct NameEntry {
 /// One cache may serve many modules (the lint front-end and the fuzz farm
 /// stream modules through a single instance): entries are keyed purely by
 /// content, so identical helper functions hit across modules, while the
-/// (module, function)-name index only drives invalidation accounting and
-/// stale-entry eviction.
+/// per-module index drives invalidation accounting and stale-entry
+/// eviction.
 #[derive(Default)]
 pub struct AnalysisCache {
-    diags: HashMap<u64, DiagEntry>,
-    bodies: HashMap<u64, BodyEntry>,
-    sccs: HashMap<u64, SccEntry>,
-    names: HashMap<(String, String), NameEntry>,
+    diags: FxHashMap<u64, DiagEntry>,
+    bodies: FxHashMap<u64, BodyEntry>,
+    sccs: FxHashMap<u64, SccEntry>,
     /// Interned module names (the `mid` of a [`Stamp`]).
     module_ids: HashMap<String, u32>,
-    /// Per-module run counters, indexed by module id.
-    module_runs: Vec<u64>,
+    /// Per-module runs, owned keys and names, indexed by module id.
+    modules: Vec<ModuleIndex>,
     /// Stamp of the run in progress (set by [`Self::begin_run`]).
     cur: Stamp,
     stats: IncrStats,
@@ -162,60 +237,66 @@ impl AnalysisCache {
     /// Whether the cache is still tracking `func` of `module` by name —
     /// false once a deleted function's record has been evicted.
     pub fn tracks_function(&self, module: &str, func: &str) -> bool {
-        self.names
-            .contains_key(&(module.to_string(), func.to_string()))
+        self.module_ids
+            .get(module)
+            .is_some_and(|&mid| self.modules[mid as usize].name(func).is_ok())
     }
 
     /// Open a run of `module`: intern its name and bump its (and only its)
     /// run counter. Every stamp written until the next `begin_run` carries
     /// this (module, run) pair.
     fn begin_run(&mut self, module: &str) {
-        let next = self.module_ids.len() as u32;
-        let mid = *self.module_ids.entry(module.to_string()).or_insert(next);
-        if mid as usize >= self.module_runs.len() {
-            self.module_runs.push(0);
-        }
-        self.module_runs[mid as usize] += 1;
-        self.cur = Stamp {
-            mid,
-            run: self.module_runs[mid as usize],
+        let mid = match self.module_ids.get(module) {
+            Some(&mid) => mid,
+            None => {
+                let mid = self.modules.len() as u32;
+                self.module_ids.insert(module.to_string(), mid);
+                self.modules.push(ModuleIndex::default());
+                mid
+            }
         };
+        let m = &mut self.modules[mid as usize];
+        m.runs = m.runs.wrapping_add(1);
+        self.cur = Stamp { mid, run: m.runs };
     }
 
-    /// Record a (module, function) → fingerprint observation, counting an
-    /// invalidation when the name re-appears under new content.
-    fn note_name(&mut self, module: &str, func: &str, fp: u64) {
-        let stamp = self.cur;
-        match self.names.entry((module.to_string(), func.to_string())) {
-            Entry::Occupied(mut e) => {
-                let ne = e.get_mut();
+    /// Record a function-name → fingerprint observation of the running
+    /// module, counting an invalidation when the name re-appears under new
+    /// content.
+    fn note_name(&mut self, func: &str, fp: u64) {
+        let run = self.cur.run;
+        let m = &mut self.modules[self.cur.mid as usize];
+        match m.name(func) {
+            Ok(i) => {
+                let ne = &mut m.names[i].1;
                 if ne.fp != fp {
                     self.stats.invalidations += 1;
                     ne.fp = fp;
                 }
-                ne.stamp = stamp;
+                ne.run = run;
             }
-            Entry::Vacant(v) => {
-                v.insert(NameEntry { fp, stamp });
-            }
+            Err(i) => m.names.insert(i, (func.into(), NameEntry { fp, run })),
         }
     }
 
     /// Drop entries of the *current* module unused for more than
     /// [`KEEP_GENERATIONS`] of its runs. Called automatically at the end of
     /// every incremental run; functions deleted between runs stop
-    /// refreshing their entries and age out here. Entries last used by
-    /// other modules are never touched.
+    /// refreshing their entries and age out here. Only the running
+    /// module's own entries are visited; entries last used by other
+    /// modules are never touched.
     fn evict_stale(&mut self) {
         let cur = self.cur;
-        let live = |s: Stamp| s.mid != cur.mid || cur.run.saturating_sub(s.run) <= KEEP_GENERATIONS;
-        let before = self.diags.len() + self.bodies.len() + self.sccs.len();
-        self.diags.retain(|_, e| live(e.stamp));
-        self.bodies.retain(|_, e| live(e.stamp));
-        self.sccs.retain(|_, e| live(e.stamp));
-        self.names.retain(|_, e| live(e.stamp));
-        self.stats.evicted +=
-            (before - (self.diags.len() + self.bodies.len() + self.sccs.len())) as u64;
+        let m = &mut self.modules[cur.mid as usize];
+        let evicted = &mut self.stats.evicted;
+        m.owned.retain(|&key| {
+            let d = sweep(&mut self.diags, key, |e| e.stamp, cur, evicted);
+            let b = sweep(&mut self.bodies, key, |e| e.stamp, cur, evicted);
+            let s = sweep(&mut self.sccs, key, |e| e.stamp, cur, evicted);
+            d || b || s
+        });
+        m.names
+            .retain(|(_, e)| cur.run.wrapping_sub(e.run) <= KEEP_GENERATIONS);
     }
 
     /// Body summary of `fid`, served from cache by body fingerprint.
@@ -224,7 +305,8 @@ impl AnalysisCache {
         let stamp = self.cur;
         match self.bodies.entry(fp) {
             Entry::Occupied(mut e) => {
-                e.get_mut().stamp = stamp;
+                let old = std::mem::replace(&mut e.get_mut().stamp, stamp);
+                restamp(&mut self.modules, fp, Some(old), stamp);
                 e.get().sum.clone()
             }
             Entry::Vacant(v) => {
@@ -233,6 +315,7 @@ impl AnalysisCache {
                     sum: sum.clone(),
                     stamp,
                 });
+                restamp(&mut self.modules, fp, None, stamp);
                 sum
             }
         }
@@ -313,7 +396,8 @@ pub fn analyze_incremental_observed(
         let fp = diag_fp(ctx, f, slices);
         let stamp = cache.cur;
         if let Some(e) = cache.diags.get_mut(&fp) {
-            e.stamp = stamp;
+            let old = std::mem::replace(&mut e.stamp, stamp);
+            restamp(&mut cache.modules, fp, Some(old), stamp);
             report.diagnostics.extend(e.diags.iter().cloned());
             cache.stats.hits += 1;
         } else {
@@ -321,9 +405,10 @@ pub fn analyze_incremental_observed(
             crate::analyze_function(module, f, slices, &mut report.diagnostics, sink, t0);
             let diags = report.diagnostics[start..].to_vec();
             cache.diags.insert(fp, DiagEntry { diags, stamp });
+            restamp(&mut cache.modules, fp, None, stamp);
             cache.stats.misses += 1;
         }
-        cache.note_name(&module.name, &f.name, fp);
+        cache.note_name(&f.name, fp);
     }
 
     report.normalize();
@@ -415,7 +500,8 @@ pub(crate) fn summaries_incremental(
 
         let cached = match cache.sccs.get_mut(&scc_fp) {
             Some(e) if e.sums.len() == scc.len() => {
-                e.stamp = stamp;
+                let old = std::mem::replace(&mut e.stamp, stamp);
+                restamp(&mut cache.modules, scc_fp, Some(old), stamp);
                 Some(e.sums.clone())
             }
             _ => None,
@@ -455,7 +541,7 @@ pub(crate) fn summaries_incremental(
                 break;
             }
         }
-        cache.sccs.insert(
+        let replaced = cache.sccs.insert(
             scc_fp,
             SccEntry {
                 sums: scc
@@ -466,6 +552,7 @@ pub(crate) fn summaries_incremental(
                 stamp,
             },
         );
+        restamp(&mut cache.modules, scc_fp, replaced.map(|e| e.stamp), stamp);
         cache.stats.summary_misses += scc.len() as u64;
     }
     Summaries::from_parts(by_func)
@@ -576,32 +663,42 @@ mod tests {
 
     #[test]
     fn deleted_function_is_evicted_after_grace_generations() {
-        let with_helper = demo_module(3);
-        let mut cache = AnalysisCache::new();
-        let empty = SliceTable::new();
-        let _ = analyze_incremental(&with_helper, &empty, &mut cache);
-        assert!(cache.tracks_function("incr-demo", "helper"));
-        let entries_with_helper = cache.len();
-        // A rebuilt module without the helper: the stale entry stops being
-        // refreshed and ages out after the grace window.
-        let mut without = Module::new("incr-demo");
-        let g = without.add_global("buf", 8);
-        let base = without.global_addr(g);
-        let mut main = FunctionBuilder::new("main", 0);
-        let e = main.entry();
-        main.push(e, Inst::store(Operand::imm(3), MemRef::abs(base)));
-        main.push(e, Inst::Halt);
-        let id = without.add_function(main.build());
-        without.set_entry(id);
-        for _ in 0..(KEEP_GENERATIONS + 1) {
+        // From a fresh counter, and across the 32-bit run counter's wrap.
+        for start in [0, u32::MAX - 2] {
+            let with_helper = demo_module(3);
+            let mut cache = AnalysisCache::new();
+            cache.begin_run("incr-demo");
+            cache.modules[0].runs = start;
+            let empty = SliceTable::new();
+            let _ = analyze_incremental(&with_helper, &empty, &mut cache);
+            assert!(cache.tracks_function("incr-demo", "helper"));
+            let entries_with_helper = cache.len();
+            // A rebuilt module without the helper: the stale entry stops
+            // being refreshed and ages out after the grace window.
+            let mut without = Module::new("incr-demo");
+            let g = without.add_global("buf", 8);
+            let base = without.global_addr(g);
+            let mut main = FunctionBuilder::new("main", 0);
+            let e = main.entry();
+            main.push(e, Inst::store(Operand::imm(3), MemRef::abs(base)));
+            main.push(e, Inst::Halt);
+            let id = without.add_function(main.build());
+            without.set_entry(id);
+            for _ in 0..(KEEP_GENERATIONS + 1) {
+                let _ = analyze_incremental(&without, &empty, &mut cache);
+            }
+            assert!(cache.stats().evicted > 0, "stale entries evicted");
+            assert!(
+                !cache.tracks_function("incr-demo", "helper"),
+                "deleted function no longer tracked"
+            );
+            assert!(cache.len() < entries_with_helper);
+            // The entries refreshed every run survive.
+            let before = cache.stats();
             let _ = analyze_incremental(&without, &empty, &mut cache);
+            assert_eq!(cache.stats().hits - before.hits, 1, "start {start}");
+            assert_eq!(cache.stats().misses, before.misses, "start {start}");
         }
-        assert!(cache.stats().evicted > 0, "stale entries evicted");
-        assert!(
-            !cache.tracks_function("incr-demo", "helper"),
-            "deleted function no longer tracked"
-        );
-        assert!(cache.len() < entries_with_helper);
     }
 
     #[test]
@@ -614,7 +711,7 @@ mod tests {
         let _ = analyze_incremental(&a, &empty, &mut cache);
         let a_cold = cache.stats();
         for extra in 0..(3 * KEEP_GENERATIONS) {
-            let mut other = demo_module(100 + extra);
+            let mut other = demo_module(100 + u64::from(extra));
             other.name = format!("other-{extra}");
             let _ = analyze_incremental(&other, &empty, &mut cache);
         }

@@ -260,8 +260,8 @@ pub fn analyze_with(
 /// [`analyze_with`] backed by an incremental [`AnalysisCache`]: the
 /// sequential per-function passes and the interprocedural summaries are
 /// served from the cache where fingerprints match; the race detector (whose
-/// facts are whole-module interleavings) always runs fresh. Output is
-/// byte-identical to [`analyze_with`].
+/// facts are whole-module interleavings) always runs fresh, over the same
+/// summaries. Output is byte-identical to [`analyze_with`].
 pub fn analyze_with_cache(
     module: &Module,
     slices: &SliceTable,
@@ -285,14 +285,24 @@ fn analyze_layered(
     };
     let mut stats = None;
     let mut persist_counters = None;
-    if opts.interproc || opts.persist {
-        // One summary computation feeds both layers; with a cache present
-        // it is served through the SCC-merkle incremental path, so the I6
-        // layer inherits the fuzz farm's warm-cache economics.
+    let mut race = races::RaceAnalysis::default();
+    // The race detector analyzes only a module with a well-formed entry;
+    // for any other it needs no summaries, and computing them over
+    // malformed functions could panic.
+    let races_run = opts.races && races::spmd_entry(module).is_some();
+    if opts.interproc || opts.persist || races_run {
+        // One summary computation feeds every layer; with a cache present
+        // and a summary layer on it is served through the SCC-merkle
+        // incremental path, so the I6 layer and the race detector inherit
+        // the fuzz farm's warm-cache economics. The race detector alone
+        // does not touch the cache: its traffic counters and aging stay
+        // those of the sequential passes.
         let cg = callgraph::CallGraph::compute(module);
         let sums = match cache {
-            Some(c) => incr::summaries_incremental(module, &cg, c),
-            None => summaries::Summaries::compute(module, &cg),
+            Some(c) if opts.interproc || opts.persist => {
+                incr::summaries_incremental(module, &cg, c)
+            }
+            _ => summaries::Summaries::compute(module, &cg),
         };
         if opts.interproc {
             report
@@ -304,17 +314,17 @@ fn analyze_layered(
             report.diagnostics.extend(diags);
             persist_counters = Some(counters);
         }
-    }
-    if opts.races {
-        let ra = races::check_concurrency(
-            module,
-            &RaceOptions {
+        if races_run {
+            let race_opts = RaceOptions {
                 cores: opts.cores.max(1),
                 ..RaceOptions::default()
-            },
-        );
-        report.diagnostics.extend(ra.diagnostics);
-        stats = Some(ra.stats);
+            };
+            race = races::check_with(module, &cg, &sums, &race_opts);
+        }
+    }
+    if opts.races {
+        report.diagnostics.extend(race.diagnostics);
+        stats = Some(race.stats);
     }
     report.normalize();
     // New error-severity findings can demote regions from proven.
@@ -421,6 +431,32 @@ mod tests {
         m.set_entry(id);
         let report = analyze(&m, &SliceTable::new());
         assert!(report.errors().any(|d| d.code == "I4-invalid-function"));
+    }
+
+    #[test]
+    fn malformed_module_without_entry_is_reported_under_races() {
+        // No entry and a branch out of range: the race layer has nothing to
+        // analyze and must not compute summaries over the broken body.
+        let mut m = Module::new("bad");
+        let mut b = FunctionBuilder::new("f", 1);
+        let e = b.entry();
+        let c = b.param(0);
+        b.push(
+            e,
+            Inst::CondBr {
+                cond: c.into(),
+                if_true: cwsp_ir::function::BlockId(7),
+                if_false: cwsp_ir::function::BlockId(9),
+            },
+        );
+        m.add_function(b.build());
+        let opts = AnalyzeOptions {
+            races: true,
+            ..AnalyzeOptions::default()
+        };
+        let (report, stats, _) = analyze_with(&m, &SliceTable::new(), &opts);
+        assert!(report.errors().any(|d| d.code == "I4-invalid-function"));
+        assert_eq!(stats, Some(RaceStats::default()));
     }
 
     #[test]

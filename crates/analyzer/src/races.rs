@@ -45,7 +45,7 @@ use cwsp_ir::layout;
 use cwsp_ir::module::{FuncId, Module};
 use cwsp_ir::pretty::fmt_inst;
 use cwsp_ir::types::Word;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Resolve the address of `m` at `(b, idx)` to a constant if possible
 /// (shared with the summary pass; mirrors the lint engine's resolver).
@@ -201,13 +201,75 @@ fn eval_addr(module: &Module, regs: &[RVal], m: &MemRef) -> RVal {
 // Per-block abstract state: registers + must-lockset + must-acquired flags.
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A sorted set of words (lock or flag addresses). Must-sets hold a handful
+/// of words, so a sorted `Vec` intersects in place and copies into a reused
+/// buffer without allocating.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct WordSet(Vec<Word>);
+
+impl WordSet {
+    fn insert(&mut self, w: Word) {
+        if let Err(i) = self.0.binary_search(&w) {
+            self.0.insert(i, w);
+        }
+    }
+
+    fn remove(&mut self, w: Word) {
+        if let Ok(i) = self.0.binary_search(&w) {
+            self.0.remove(i);
+        }
+    }
+
+    fn contains(&self, w: Word) -> bool {
+        self.0.binary_search(&w).is_ok()
+    }
+
+    /// Keep only the words also in `other`; returns whether any was dropped.
+    fn intersect(&mut self, other: &WordSet) -> bool {
+        let before = self.0.len();
+        self.0.retain(|&w| other.contains(w));
+        self.0.len() != before
+    }
+
+    /// Whether the two sets share a word.
+    fn meets(&self, other: &WordSet) -> bool {
+        let (mut i, mut j) = (0, 0);
+        while i < self.0.len() && j < other.0.len() {
+            match self.0[i].cmp(&other.0[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+}
+
+#[derive(Debug, Default, PartialEq, Eq)]
 struct AbsState {
     regs: Vec<RVal>,
     /// Locks provably held (must-set; intersected at joins).
-    locks: BTreeSet<Word>,
+    locks: WordSet,
     /// Flag words provably acquire-waited-on (must-set; intersected).
-    acq: BTreeSet<Word>,
+    acq: WordSet,
+}
+
+impl Clone for AbsState {
+    fn clone(&self) -> Self {
+        AbsState {
+            regs: self.regs.clone(),
+            locks: self.locks.clone(),
+            acq: self.acq.clone(),
+        }
+    }
+
+    /// Copy into `self`'s buffers: the fixpoint's scratch states are
+    /// overwritten once per block visit and never reallocated.
+    fn clone_from(&mut self, src: &Self) {
+        self.regs.clone_from(&src.regs);
+        self.locks.0.clone_from(&src.locks.0);
+        self.acq.0.clone_from(&src.acq.0);
+    }
 }
 
 impl AbsState {
@@ -222,19 +284,8 @@ impl AbsState {
                 changed = true;
             }
         }
-        let li = |a: &BTreeSet<Word>, b: &BTreeSet<Word>| -> BTreeSet<Word> {
-            a.intersection(b).copied().collect()
-        };
-        let nl = li(&self.locks, &other.locks);
-        if nl != self.locks {
-            self.locks = nl;
-            changed = true;
-        }
-        let na = li(&self.acq, &other.acq);
-        if na != self.acq {
-            self.acq = na;
-            changed = true;
-        }
+        changed |= self.locks.intersect(&other.locks);
+        changed |= self.acq.intersect(&other.acq);
         changed
     }
 }
@@ -268,7 +319,7 @@ fn transfer(module: &Module, sums: &Summaries, st: &mut AbsState, inst: &Inst) {
             // Swap(lock, 0) is the canonical release: drop the lock.
             if *op == AtomicOp::Swap && matches!(src, Operand::Imm(0)) {
                 if let Some(a) = eval_addr(module, &st.regs, addr).as_const() {
-                    st.locks.remove(&a);
+                    st.locks.remove(a);
                 }
             }
             set(st, *dst, RVal::Sym);
@@ -281,11 +332,11 @@ fn transfer(module: &Module, sums: &Summaries, st: &mut AbsState, inst: &Inst) {
         } => {
             // The callee may release locks it synchronizes on.
             let cs = sums.get(*func);
-            for a in &cs.sync_addrs {
+            for &a in &cs.sync_addrs {
                 st.locks.remove(a);
             }
             if cs.sync_unknown {
-                st.locks.clear();
+                st.locks.0.clear();
             }
             if let Some(r) = ret {
                 set(st, *r, RVal::Sym);
@@ -298,37 +349,38 @@ fn transfer(module: &Module, sums: &Summaries, st: &mut AbsState, inst: &Inst) {
     }
 }
 
-/// Per-edge refinement of the block out-state. Returns `None` when the
-/// edge is statically infeasible under the current context.
+/// Per-edge refinement of the block out-state `out` into `st`. Returns
+/// false when the edge is statically infeasible under the current context.
 #[allow(clippy::too_many_arguments)]
 fn refine_edge(
     module: &Module,
     f: &Function,
     b: BlockId,
     out: &AbsState,
+    st: &mut AbsState,
     cond: Operand,
     taken: bool,
     self_loop_other_edge: Option<Word>,
-) -> Option<AbsState> {
-    let mut st = out.clone();
+) -> bool {
+    st.clone_from(out);
     // Spin-block acquire: the non-self edge of a self-looping block that
     // atomically polls a constant flag word acquires that flag.
     if let Some(flag) = self_loop_other_edge {
         st.acq.insert(flag);
     }
     match eval_operand(module, &st.regs, cond) {
-        RVal::Iv(0, 0) if taken => return None,
-        RVal::Iv(lo, _) if lo >= 1 && !taken => return None,
+        RVal::Iv(0, 0) if taken => return false,
+        RVal::Iv(lo, _) if lo >= 1 && !taken => return false,
         _ => {}
     }
     let Operand::Reg(c) = cond else {
-        return Some(st);
+        return true;
     };
     // Find the last definition of the condition register in this block.
     let insts = &f.block(b).insts;
     let def = insts.iter().enumerate().rev().find(|(_, i)| defines(i, c));
     let Some((di, dinst)) = def else {
-        return Some(st);
+        return true;
     };
     match dinst {
         Inst::Binary {
@@ -339,10 +391,10 @@ fn refine_edge(
         } => {
             // Only refine when `x` is not redefined after the compare.
             if insts[di + 1..].iter().any(|i| defines(i, *x)) {
-                return Some(st);
+                return true;
             }
             let Some(k) = eval_operand(module, &st.regs, *rhs).as_const() else {
-                return Some(st);
+                return true;
             };
             let xv = st.regs.get(x.index()).copied().unwrap_or(RVal::Sym);
             let refined = match (op, taken) {
@@ -359,7 +411,7 @@ fn refine_edge(
                         *slot = v;
                     }
                 }
-                None => return None,
+                None => return false,
             }
         }
         Inst::AtomicRmw {
@@ -377,7 +429,7 @@ fn refine_edge(
         }
         _ => {}
     }
-    Some(st)
+    true
 }
 
 /// Whether `inst` writes register `r`.
@@ -408,46 +460,85 @@ fn spin_flag(module: &Module, regs: &[RVal], f: &Function, b: BlockId) -> Option
 const WIDEN_AFTER: u32 = 6;
 const MAX_PASSES: u32 = 200;
 
-/// Run the abstract interpretation to fixpoint; returns block-entry states
-/// (`None` = unreachable under this context).
+/// Block-entry states of one fixpoint, with the bookkeeping of its joins.
+struct Fixpoint {
+    states: Vec<Option<AbsState>>,
+    /// Joins into each block so far; past [`WIDEN_AFTER`] they widen.
+    joins: Vec<u32>,
+    /// Whether a block's entry state changed since its last visit.
+    dirty: Vec<bool>,
+    /// The successors each block pushed an edge state to on its last visit.
+    pushed: Vec<[Option<BlockId>; 2]>,
+}
+
+impl Fixpoint {
+    /// Join `ns` into `succ`'s entry state; returns whether it changed.
+    fn push(&mut self, succ: BlockId, ns: &AbsState) -> bool {
+        let s = succ.index();
+        let changed = match &mut self.states[s] {
+            cur @ None => {
+                *cur = Some(ns.clone());
+                true
+            }
+            Some(cur) => {
+                self.joins[s] += 1;
+                cur.join_from(ns, self.joins[s] > WIDEN_AFTER)
+            }
+        };
+        self.dirty[s] |= changed;
+        changed
+    }
+}
+
+/// Run the abstract interpretation to fixpoint, visiting `rpo` round-robin;
+/// returns block-entry states (`None` = unreachable under this context).
+///
+/// A block whose entry state is unchanged since its last visit would push
+/// the same edge states again: they change nothing (entry states only grow)
+/// but the join counts that drive widening, so such a block only replays
+/// those counts over the edges it pushed last time.
 fn block_states(
     module: &Module,
     sums: &Summaries,
     f: &Function,
+    rpo: &[BlockId],
     entry_state: AbsState,
 ) -> Vec<Option<AbsState>> {
     let n = f.blocks.len();
-    let mut states: Vec<Option<AbsState>> = vec![None; n];
-    states[f.entry().index()] = Some(entry_state);
-    let rpo = cfg::reverse_post_order(f);
-    let mut joins = vec![0u32; n];
+    let mut fx = Fixpoint {
+        states: vec![None; n],
+        joins: vec![0; n],
+        dirty: vec![false; n],
+        pushed: vec![[None; 2]; n],
+    };
+    fx.states[f.entry().index()] = Some(entry_state);
+    fx.dirty[f.entry().index()] = true;
+    // Scratch states, overwritten on every visit.
+    let mut out = AbsState::default();
+    let mut edge = AbsState::default();
     for _pass in 0..MAX_PASSES {
         let mut changed = false;
-        for &b in &rpo {
-            let Some(st) = states[b.index()].clone() else {
+        for &b in rpo {
+            let Some(st) = &fx.states[b.index()] else {
                 continue;
             };
-            let mut out = st;
+            if !fx.dirty[b.index()] {
+                for s in fx.pushed[b.index()].into_iter().flatten() {
+                    fx.joins[s.index()] += 1;
+                }
+                continue;
+            }
+            out.clone_from(st);
+            fx.dirty[b.index()] = false;
             for inst in &f.block(b).insts {
                 transfer(module, sums, &mut out, inst);
             }
-            let mut push = |succ: BlockId, ns: Option<AbsState>, changed: &mut bool| {
-                let Some(ns) = ns else { return };
-                match &mut states[succ.index()] {
-                    cur @ None => {
-                        *cur = Some(ns);
-                        *changed = true;
-                    }
-                    Some(cur) => {
-                        joins[succ.index()] += 1;
-                        if cur.join_from(&ns, joins[succ.index()] > WIDEN_AFTER) {
-                            *changed = true;
-                        }
-                    }
-                }
-            };
+            let mut edges = [None; 2];
             match f.block(b).insts.last() {
-                Some(Inst::Br { target }) => push(*target, Some(out), &mut changed),
+                Some(Inst::Br { target }) => {
+                    changed |= fx.push(*target, &out);
+                    edges[0] = Some(*target);
+                }
                 Some(Inst::CondBr {
                     cond,
                     if_true,
@@ -456,19 +547,24 @@ fn block_states(
                     let flag = spin_flag(module, &out.regs, f, b);
                     let t_extra = (*if_false == b).then_some(flag).flatten();
                     let f_extra = (*if_true == b).then_some(flag).flatten();
-                    let ts = refine_edge(module, f, b, &out, *cond, true, t_extra);
-                    let fs = refine_edge(module, f, b, &out, *cond, false, f_extra);
-                    push(*if_true, ts, &mut changed);
-                    push(*if_false, fs, &mut changed);
+                    if refine_edge(module, f, b, &out, &mut edge, *cond, true, t_extra) {
+                        changed |= fx.push(*if_true, &edge);
+                        edges[0] = Some(*if_true);
+                    }
+                    if refine_edge(module, f, b, &out, &mut edge, *cond, false, f_extra) {
+                        changed |= fx.push(*if_false, &edge);
+                        edges[1] = Some(*if_false);
+                    }
                 }
                 _ => {}
             }
+            fx.pushed[b.index()] = edges;
         }
         if !changed {
             break;
         }
     }
-    states
+    fx.states
 }
 
 // --------------------------------------------------------------------------
@@ -482,26 +578,42 @@ enum AccKind {
     Atomic,
 }
 
+/// What an access shows as in a witness: its own instruction, or one effect
+/// of a call the collector did not descend into.
+#[derive(Debug, Clone, Copy)]
+enum NoteSrc<'m> {
+    Inst(&'m Inst),
+    /// "call `callee` may `verb` `addr` (summary)"; no address when the
+    /// callee's effect is unresolved.
+    Summary {
+        callee: FuncId,
+        verb: &'static str,
+        addr: Option<Word>,
+    },
+}
+
+/// One shared-memory access of a thread context. It keeps coordinates, not
+/// text: witness paths and notes are rendered by [`Witnesses`] only for the
+/// findings actually reported.
 #[derive(Debug, Clone)]
-struct Access {
+struct Access<'m> {
     tid: u64,
     kind: AccKind,
     lo: Word,
     hi: Word,
     sym: bool,
-    func: String,
+    fid: FuncId,
     block: u32,
     idx: usize,
-    locks: BTreeSet<Word>,
-    acq: BTreeSet<Word>,
+    locks: WordSet,
+    acq: WordSet,
     /// Constant flag words whose releasing atomic postdominates this access
     /// (writer-side happens-before tags; writes only).
-    rel: BTreeSet<Word>,
-    note: String,
-    path: Vec<WitnessStep>,
+    rel: WordSet,
+    src: NoteSrc<'m>,
 }
 
-impl Access {
+impl Access<'_> {
     fn is_write(&self) -> bool {
         matches!(self.kind, AccKind::Write | AccKind::Atomic)
     }
@@ -514,16 +626,14 @@ impl Access {
     }
 }
 
+/// A shared store that reaches a synchronization point with its region
+/// still open; it fires when the word escapes to another context.
 #[derive(Debug, Clone)]
-struct I5Cand {
-    tid: u64,
-    lo: Word,
-    hi: Word,
-    func: String,
-    block: u32,
-    idx: usize,
-    region: Option<u32>,
-    path: Vec<WitnessStep>,
+struct I5Cand<'m> {
+    store: Access<'m>,
+    /// The synchronization point reached: block, index, instruction (a
+    /// `Call` when the callee synchronizes).
+    sync: (u32, usize, &'m Inst),
 }
 
 /// Options for [`check_concurrency`].
@@ -576,181 +686,213 @@ const MAX_RACE_DIAGS: usize = 64;
 /// acquired) — an identical context contributes identical accesses.
 type CallKey = (usize, Vec<Word>, Vec<Word>, Vec<Word>);
 
-struct Collector<'m> {
+/// Reachability over one or more CFG edges: bit `t` of row `b` is set when
+/// block `t` is reachable from block `b`.
+struct Reach {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Reach {
+    fn compute(f: &Function) -> Reach {
+        let n = f.blocks.len();
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * words];
+        let mut stack: Vec<BlockId> = Vec::new();
+        for (b, _) in f.iter_blocks() {
+            let row = &mut bits[b.index() * words..][..words];
+            stack.extend(cfg::successors(f, b));
+            while let Some(s) = stack.pop() {
+                let (w, bit) = (s.index() / 64, 1 << (s.index() % 64));
+                if row[w] & bit == 0 {
+                    row[w] |= bit;
+                    stack.extend(cfg::successors(f, s));
+                }
+            }
+        }
+        Reach { words, bits }
+    }
+
+    fn reaches(&self, from: BlockId, to: BlockId) -> bool {
+        self.bits[from.index() * self.words + to.index() / 64] >> (to.index() % 64) & 1 == 1
+    }
+}
+
+/// CFG facts of one function, computed on first use and shared by every
+/// thread context and call instance.
+#[derive(Default)]
+struct FuncFacts {
+    rpo: Option<Vec<BlockId>>,
+    has_boundary: Option<bool>,
+    pdt: Option<PostDomTree>,
+    reach: Option<Reach>,
+    /// Breadth-first parents from the entry (witness paths).
+    parents: Option<Vec<Option<BlockId>>>,
+}
+
+struct Collector<'m, 'c> {
     module: &'m Module,
     cg: &'m CallGraph,
     sums: &'m Summaries,
+    facts: &'c mut [FuncFacts],
     tid: u64,
     max_depth: usize,
-    accesses: Vec<Access>,
-    i5: Vec<I5Cand>,
+    accesses: Vec<Access<'m>>,
+    i5: Vec<I5Cand<'m>>,
     seen_calls: HashSet<CallKey>,
-    bfs_parents: HashMap<usize, Vec<Option<BlockId>>>,
-    pdoms: HashMap<usize, PostDomTree>,
-    reach: HashMap<usize, Vec<HashSet<u32>>>,
+    search: &'c mut OpenSearch,
 }
 
-impl<'m> Collector<'m> {
-    /// Shortest block path entry → `target`, as witness steps covering the
-    /// synchronization-relevant instructions along the way.
-    fn path_to(
-        &mut self,
-        fid: FuncId,
-        f: &Function,
-        target: BlockId,
-        upto: usize,
-    ) -> Vec<WitnessStep> {
-        let parents = self.bfs_parents.entry(fid.index()).or_insert_with(|| {
-            let mut par: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
-            let mut seen = vec![false; f.blocks.len()];
-            let mut q = VecDeque::new();
-            seen[f.entry().index()] = true;
-            q.push_back(f.entry());
-            while let Some(b) = q.pop_front() {
-                for s in cfg::successors(f, b) {
-                    if !seen[s.index()] {
-                        seen[s.index()] = true;
-                        par[s.index()] = Some(b);
-                        q.push_back(s);
-                    }
-                }
-            }
-            par
-        });
-        let mut blocks = vec![target];
-        let mut cur = target;
-        while cur != f.entry() {
-            match parents[cur.index()] {
-                Some(p) => {
-                    blocks.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        blocks.reverse();
-        let mut steps = Vec::new();
-        for &b in &blocks {
-            let limit = if b == target {
-                upto
-            } else {
-                f.block(b).insts.len()
-            };
-            for (i, inst) in f.block(b).insts.iter().enumerate().take(limit) {
-                if matches!(
-                    inst,
-                    Inst::AtomicRmw { .. } | Inst::Fence | Inst::Boundary { .. }
-                ) {
-                    steps.push(WitnessStep {
-                        block: b.0,
-                        idx: i,
-                        note: fmt_inst(inst),
-                    });
-                }
-            }
-        }
-        steps
-    }
+/// The I5 forward search's scratch, reused across every store it starts
+/// from: a work stack, and per-block visit stamps compared against `stamp`.
+#[derive(Default)]
+struct OpenSearch {
+    stack: Vec<(BlockId, usize)>,
+    visited: Vec<u32>,
+    stamp: u32,
+}
 
+impl OpenSearch {
+    /// Depth-first search forward from instruction `from` of `start`:
+    /// paths stop at boundaries; the first synchronization point reached
+    /// (atomic, fence, or a call whose callee synchronizes without crossing
+    /// a boundary) is returned.
+    fn open_sync_point<'m>(
+        &mut self,
+        sums: &Summaries,
+        f: &'m Function,
+        start: BlockId,
+        from: usize,
+    ) -> Option<(u32, usize, &'m Inst)> {
+        if self.visited.len() < f.blocks.len() {
+            self.visited.resize(f.blocks.len(), 0);
+        }
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.stack.clear();
+        self.stack.push((start, from));
+        'dfs: while let Some((b, from)) = self.stack.pop() {
+            for (i, inst) in f.block(b).insts.iter().enumerate().skip(from) {
+                match inst {
+                    Inst::Boundary { .. } => continue 'dfs,
+                    Inst::AtomicRmw { .. } | Inst::Fence => return Some((b.0, i, inst)),
+                    Inst::Call { func, .. } => {
+                        let cs = sums.get(*func);
+                        if cs.has_boundary {
+                            continue 'dfs;
+                        }
+                        if cs.has_fence || !cs.sync_addrs.is_empty() || cs.sync_unknown {
+                            return Some((b.0, i, inst));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            for s in cfg::successors(f, b) {
+                if self.visited[s.index()] != stamp {
+                    self.visited[s.index()] = stamp;
+                    self.stack.push((s, 0));
+                }
+            }
+        }
+        None
+    }
+}
+
+impl<'m> Collector<'m, '_> {
     #[allow(clippy::too_many_arguments)]
     fn record(
-        &mut self,
-        mine: &mut Vec<Access>,
+        &self,
+        mine: &mut Vec<Access<'m>>,
         fid: FuncId,
-        f: &Function,
         st: &AbsState,
         kind: AccKind,
-        addr: RVal,
+        (lo, hi, sym): (Word, Word, bool),
         b: BlockId,
         i: usize,
-        inst: &Inst,
+        src: NoteSrc<'m>,
     ) {
-        let (lo, hi, sym) = match addr {
-            RVal::Iv(l, h) => (l, h, false),
-            RVal::Sym => (layout::GLOBAL_BASE, layout::STACK_REGION_BASE - 1, true),
-        };
         // Per-core state (stacks, checkpoint slots, metadata) cannot race;
         // only the shared program-data window matters.
         if !sym && (hi < layout::GLOBAL_BASE || lo >= layout::STACK_REGION_BASE) {
             return;
         }
-        let mut path = self.path_to(fid, f, b, i);
-        path.push(WitnessStep {
-            block: b.0,
-            idx: i,
-            note: fmt_inst(inst),
-        });
         mine.push(Access {
             tid: self.tid,
             kind,
             lo: lo.max(layout::GLOBAL_BASE),
             hi: hi.min(layout::STACK_REGION_BASE - 1),
             sym,
-            func: f.name.clone(),
+            fid,
             block: b.0,
             idx: i,
             locks: st.locks.clone(),
             acq: st.acq.clone(),
-            rel: BTreeSet::new(),
-            note: fmt_inst(inst),
-            path,
+            rel: WordSet::default(),
+            src,
         });
     }
 
     fn collect_function(&mut self, fid: FuncId, entry: AbsState, depth: usize) {
-        if fid.index() >= self.module.function_count() {
+        let module = self.module;
+        if fid.index() >= module.function_count() {
             return;
         }
-        let f = self.module.function(fid);
+        let f = module.function(fid);
         if f.validate().is_err() {
             return;
         }
-        let states = block_states(self.module, self.sums, f, entry);
-        let mut mine: Vec<Access> = Vec::new();
+        let rpo = self.facts[fid.index()]
+            .rpo
+            .get_or_insert_with(|| cfg::reverse_post_order(f));
+        let states = block_states(module, self.sums, f, rpo, entry);
+        let mut mine: Vec<Access<'m>> = Vec::new();
         // Constant-address atomic sites of this instance (release candidates).
         let mut atomics: Vec<(BlockId, usize, Word)> = Vec::new();
 
+        let mut st = AbsState::default();
         for (b, block) in f.iter_blocks() {
-            let Some(mut st) = states[b.index()].clone() else {
+            let Some(entry) = &states[b.index()] else {
                 continue;
             };
+            st.clone_from(entry);
             for (i, inst) in block.insts.iter().enumerate() {
+                let src = NoteSrc::Inst(inst);
                 match inst {
                     Inst::Load { addr, .. } => {
-                        let a = eval_addr(self.module, &st.regs, addr);
-                        self.record(&mut mine, fid, f, &st, AccKind::Read, a, b, i, inst);
+                        let a = span(eval_addr(module, &st.regs, addr));
+                        self.record(&mut mine, fid, &st, AccKind::Read, a, b, i, src);
                     }
                     Inst::Store { addr, .. } => {
-                        let a = eval_addr(self.module, &st.regs, addr);
-                        self.record(&mut mine, fid, f, &st, AccKind::Write, a, b, i, inst);
+                        let a = span(eval_addr(module, &st.regs, addr));
+                        self.record(&mut mine, fid, &st, AccKind::Write, a, b, i, src);
                     }
                     Inst::AtomicRmw { addr, .. } => {
-                        let a = eval_addr(self.module, &st.regs, addr);
+                        let a = eval_addr(module, &st.regs, addr);
                         if let Some(c) = a.as_const() {
                             atomics.push((b, i, c));
                         }
-                        self.record(&mut mine, fid, f, &st, AccKind::Atomic, a, b, i, inst);
+                        self.record(&mut mine, fid, &st, AccKind::Atomic, span(a), b, i, src);
                     }
                     Inst::Call { func, args, .. } => {
-                        self.handle_call(&mut mine, fid, f, &st, *func, args, b, i, depth);
+                        self.handle_call(&mut mine, fid, &st, *func, args, b, i, depth);
                     }
                     _ => {}
                 }
-                transfer(self.module, self.sums, &mut st, inst);
+                transfer(module, self.sums, &mut st, inst);
             }
         }
 
         self.tag_releases(fid, f, &mut mine, &atomics);
-        self.scan_i5(fid, f, &states, &mine);
+        self.scan_i5(fid, f, &mine);
         self.accesses.append(&mut mine);
     }
 
     #[allow(clippy::too_many_arguments)]
     fn handle_call(
         &mut self,
-        mine: &mut Vec<Access>,
+        mine: &mut Vec<Access<'m>>,
         fid: FuncId,
-        f: &Function,
         st: &AbsState,
         callee: FuncId,
         args: &[Operand],
@@ -769,8 +911,8 @@ impl<'m> Collector<'m> {
             let key = (
                 callee.index(),
                 consts.clone(),
-                st.locks.iter().copied().collect(),
-                st.acq.iter().copied().collect(),
+                st.locks.0.clone(),
+                st.acq.0.clone(),
             );
             if !self.seen_calls.insert(key) {
                 return; // identical context already collected
@@ -795,77 +937,29 @@ impl<'m> Collector<'m> {
             return;
         }
         // Summary fallback: conservative accesses at the call site.
-        let cs = self.sums.get(callee).clone();
-        let callee_name = if callee.index() < self.module.function_count() {
-            self.module.function(callee).name.clone()
-        } else {
-            format!("fn#{}", callee.index())
-        };
-        let mk_note =
-            |what: &str, a: Word| format!("call `{callee_name}` may {what} {a:#x} (summary)");
-        let mut push =
-            |this: &mut Self, kind: AccKind, lo: Word, hi: Word, sym: bool, note: String| {
-                if !sym && (hi < layout::GLOBAL_BASE || lo >= layout::STACK_REGION_BASE) {
-                    return;
-                }
-                let mut path = this.path_to(fid, f, b, i);
-                path.push(WitnessStep {
-                    block: b.0,
-                    idx: i,
-                    note: note.clone(),
-                });
-                mine.push(Access {
-                    tid: this.tid,
-                    kind,
-                    lo: lo.max(layout::GLOBAL_BASE),
-                    hi: hi.min(layout::STACK_REGION_BASE - 1),
-                    sym,
-                    func: f.name.clone(),
-                    block: b.0,
-                    idx: i,
-                    locks: st.locks.clone(),
-                    acq: st.acq.clone(),
-                    rel: BTreeSet::new(),
-                    note,
-                    path,
-                });
-            };
+        let cs = self.sums.get(callee);
+        let summary = |verb, addr| NoteSrc::Summary { callee, verb, addr };
+        let one = |a| (a, a, false);
         for &a in &cs.stores {
-            push(self, AccKind::Write, a, a, false, mk_note("store to", a));
+            let src = summary("store to", Some(a));
+            self.record(mine, fid, st, AccKind::Write, one(a), b, i, src);
         }
         for &a in &cs.loads {
-            push(self, AccKind::Read, a, a, false, mk_note("load from", a));
+            let src = summary("load from", Some(a));
+            self.record(mine, fid, st, AccKind::Read, one(a), b, i, src);
         }
         for &a in &cs.sync_addrs {
-            push(
-                self,
-                AccKind::Atomic,
-                a,
-                a,
-                false,
-                mk_note("synchronize on", a),
-            );
+            let src = summary("synchronize on", Some(a));
+            self.record(mine, fid, st, AccKind::Atomic, one(a), b, i, src);
         }
-        let full = (layout::GLOBAL_BASE, layout::STACK_REGION_BASE - 1);
+        let full = span(RVal::Sym);
         if cs.stores_unknown {
-            push(
-                self,
-                AccKind::Write,
-                full.0,
-                full.1,
-                true,
-                format!("call `{callee_name}` may store to an unresolved address (summary)"),
-            );
+            let src = summary("store to", None);
+            self.record(mine, fid, st, AccKind::Write, full, b, i, src);
         }
         if cs.loads_unknown {
-            push(
-                self,
-                AccKind::Read,
-                full.0,
-                full.1,
-                true,
-                format!("call `{callee_name}` may load from an unresolved address (summary)"),
-            );
+            let src = summary("load from", None);
+            self.record(mine, fid, st, AccKind::Read, full, b, i, src);
         }
     }
 
@@ -883,37 +977,18 @@ impl<'m> Collector<'m> {
         if atomics.is_empty() {
             return;
         }
-        let pdt = self
-            .pdoms
-            .entry(fid.index())
-            .or_insert_with(|| PostDomTree::compute(f));
-        let reach = self.reach.entry(fid.index()).or_insert_with(|| {
-            // reach[b] = blocks reachable from b via one or more edges.
-            let n = f.blocks.len();
-            let mut out: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-            for (b, _) in f.iter_blocks() {
-                let mut q: VecDeque<BlockId> = cfg::successors(f, b).into_iter().collect();
-                let mut seen: HashSet<u32> = q.iter().map(|s| s.0).collect();
-                while let Some(s) = q.pop_front() {
-                    for t in cfg::successors(f, s) {
-                        if seen.insert(t.0) {
-                            q.push_back(t);
-                        }
-                    }
-                }
-                out[b.index()] = seen;
-            }
-            out
-        });
+        let facts = &mut self.facts[fid.index()];
+        let pdt = facts.pdt.get_or_insert_with(|| PostDomTree::compute(f));
+        let reach = facts.reach.get_or_insert_with(|| Reach::compute(f));
         for acc in mine.iter_mut() {
-            if acc.kind != AccKind::Write || acc.func != f.name {
+            if acc.kind != AccKind::Write {
                 continue;
             }
             let ab = BlockId(acc.block);
             for &(rb, ri, fl) in atomics {
                 let after_in_block = rb == ab && ri > acc.idx;
                 let postdoms = rb != ab && pdt.postdominates(rb, ab);
-                let loops_back = reach[rb.index()].contains(&acc.block);
+                let loops_back = reach.reaches(rb, ab);
                 if (after_in_block || postdoms) && !loops_back {
                     acc.rel.insert(fl);
                 }
@@ -924,99 +999,38 @@ impl<'m> Collector<'m> {
     /// I5: in region-annotated functions, a store whose word another core
     /// may access must not reach an atomic/fence while its region is still
     /// open — a boundary must close the region before the publication point.
-    fn scan_i5(
-        &mut self,
-        _fid: FuncId,
-        f: &Function,
-        states: &[Option<AbsState>],
-        mine: &[Access],
-    ) {
-        let has_boundary = f
-            .blocks
-            .iter()
-            .any(|bl| bl.insts.iter().any(|i| matches!(i, Inst::Boundary { .. })));
+    fn scan_i5(&mut self, fid: FuncId, f: &'m Function, mine: &[Access<'m>]) {
+        let has_boundary = *self.facts[fid.index()].has_boundary.get_or_insert_with(|| {
+            f.blocks
+                .iter()
+                .any(|bl| bl.insts.iter().any(|i| matches!(i, Inst::Boundary { .. })))
+        });
         if !has_boundary {
             return;
         }
         for acc in mine {
-            if acc.kind != AccKind::Write || acc.sym || acc.func != f.name {
+            if acc.kind != AccKind::Write || acc.sym {
                 continue;
             }
-            let start = BlockId(acc.block);
-            if states[start.index()].is_none() {
-                continue;
-            }
-            // DFS forward from just past the store; stop at boundaries,
-            // flag the first reachable synchronization point.
-            let mut stack = vec![(start, acc.idx + 1, vec![])];
-            let mut visited: HashSet<u32> = HashSet::new();
-            let mut hit: Option<(BlockId, usize, Vec<WitnessStep>)> = None;
-            // Open-region id at the store, for attribution: the last
-            // boundary on the witness path to the store, if any.
-            let region = acc.path.iter().rev().find_map(|s| {
-                s.note
-                    .contains("boundary")
-                    .then(|| region_of(f, BlockId(s.block), s.idx))
-                    .flatten()
-            });
-            'dfs: while let Some((b, from, path)) = stack.pop() {
-                for (i, inst) in f.block(b).insts.iter().enumerate().skip(from) {
-                    match inst {
-                        Inst::Boundary { .. } => continue 'dfs,
-                        Inst::AtomicRmw { .. } | Inst::Fence => {
-                            let mut p = path.clone();
-                            p.push(WitnessStep {
-                                block: b.0,
-                                idx: i,
-                                note: format!("{} (publication point)", fmt_inst(inst)),
-                            });
-                            hit = Some((b, i, p));
-                            break 'dfs;
-                        }
-                        Inst::Call { func, .. } => {
-                            let cs = self.sums.get(*func);
-                            if cs.has_boundary {
-                                continue 'dfs;
-                            }
-                            if cs.has_fence || !cs.sync_addrs.is_empty() || cs.sync_unknown {
-                                let mut p = path.clone();
-                                p.push(WitnessStep {
-                                    block: b.0,
-                                    idx: i,
-                                    note: format!("{} (callee synchronizes)", fmt_inst(inst)),
-                                });
-                                hit = Some((b, i, p));
-                                break 'dfs;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                for s in cfg::successors(f, b) {
-                    if visited.insert(s.0) {
-                        stack.push((s, 0, path.clone()));
-                    }
-                }
-            }
-            if let Some((_, _, sync_path)) = hit {
-                let mut path = vec![WitnessStep {
-                    block: acc.block,
-                    idx: acc.idx,
-                    note: format!("{} (escaping store, region open)", acc.note),
-                }];
-                path.extend(sync_path);
+            let sync = self
+                .search
+                .open_sync_point(self.sums, f, BlockId(acc.block), acc.idx + 1);
+            if let Some(sync) = sync {
                 self.i5.push(I5Cand {
-                    tid: acc.tid,
-                    lo: acc.lo,
-                    hi: acc.hi,
-                    func: acc.func.clone(),
-                    block: acc.block,
-                    idx: acc.idx,
-                    region,
-                    path,
+                    store: acc.clone(),
+                    sync,
                 });
             }
         }
+    }
+}
+
+/// An address value as an access span `(lo, hi, sym)`; unknown addresses
+/// span the whole shared program-data window.
+fn span(addr: RVal) -> (Word, Word, bool) {
+    match addr {
+        RVal::Iv(l, h) => (l, h, false),
+        RVal::Sym => (layout::GLOBAL_BASE, layout::STACK_REGION_BASE - 1, true),
     }
 }
 
@@ -1027,20 +1041,218 @@ fn region_of(f: &Function, b: BlockId, idx: usize) -> Option<u32> {
     }
 }
 
+/// Renders the text of reported findings: witness paths, notes and
+/// function names, built from an access's coordinates on demand.
+struct Witnesses<'m, 'c> {
+    module: &'m Module,
+    facts: &'c mut [FuncFacts],
+}
+
+impl<'m> Witnesses<'m, '_> {
+    fn name(&self, fid: FuncId) -> &'m str {
+        &self.module.function(fid).name
+    }
+
+    fn note(&self, src: NoteSrc) -> String {
+        match src {
+            NoteSrc::Inst(inst) => fmt_inst(inst),
+            NoteSrc::Summary { callee, verb, addr } => {
+                let name = if callee.index() < self.module.function_count() {
+                    self.name(callee).to_string()
+                } else {
+                    format!("fn#{}", callee.index())
+                };
+                match addr {
+                    Some(a) => format!("call `{name}` may {verb} {a:#x} (summary)"),
+                    None => format!("call `{name}` may {verb} an unresolved address (summary)"),
+                }
+            }
+        }
+    }
+
+    /// Shortest block path entry → `acc`, as witness steps covering the
+    /// synchronization-relevant instructions along the way, then the access.
+    fn path(&mut self, acc: &Access) -> Vec<WitnessStep> {
+        let f = self.module.function(acc.fid);
+        let parents = self.facts[acc.fid.index()].parents.get_or_insert_with(|| {
+            let mut par: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+            let mut seen = vec![false; f.blocks.len()];
+            let mut q = VecDeque::new();
+            seen[f.entry().index()] = true;
+            q.push_back(f.entry());
+            while let Some(b) = q.pop_front() {
+                for s in cfg::successors(f, b) {
+                    if !seen[s.index()] {
+                        seen[s.index()] = true;
+                        par[s.index()] = Some(b);
+                        q.push_back(s);
+                    }
+                }
+            }
+            par
+        });
+        let target = BlockId(acc.block);
+        let mut blocks = vec![target];
+        let mut cur = target;
+        while cur != f.entry() {
+            match parents[cur.index()] {
+                Some(p) => {
+                    blocks.push(p);
+                    cur = p;
+                }
+                None => break,
+            }
+        }
+        let mut steps = Vec::new();
+        for &b in blocks.iter().rev() {
+            let limit = if b == target {
+                acc.idx
+            } else {
+                f.block(b).insts.len()
+            };
+            for (i, inst) in f.block(b).insts.iter().enumerate().take(limit) {
+                if matches!(
+                    inst,
+                    Inst::AtomicRmw { .. } | Inst::Fence | Inst::Boundary { .. }
+                ) {
+                    steps.push(WitnessStep {
+                        block: b.0,
+                        idx: i,
+                        note: fmt_inst(inst),
+                    });
+                }
+            }
+        }
+        steps.push(WitnessStep {
+            block: acc.block,
+            idx: acc.idx,
+            note: self.note(acc.src),
+        });
+        steps
+    }
+
+    fn race(&mut self, a: &Access, b: &Access) -> Diagnostic {
+        let mut steps: Vec<WitnessStep> = Vec::new();
+        for acc in [a, b] {
+            for s in self.path(acc) {
+                steps.push(WitnessStep {
+                    block: s.block,
+                    idx: s.idx,
+                    note: format!("core {}: {}", acc.tid, s.note),
+                });
+            }
+        }
+        Diagnostic {
+            severity: Severity::Error,
+            invariant: Invariant::DataRace,
+            code: "R-data-race",
+            message: format!(
+                "{} of {} by core {} ({}/bb{}[{}]) and {} of {} by core {} ({}/bb{}[{}]) \
+                 are unordered: no common lock, no acquire/release pairing",
+                kind_verb(a.kind),
+                range_desc(a.lo, a.hi),
+                a.tid,
+                self.name(a.fid),
+                a.block,
+                a.idx,
+                kind_verb(b.kind),
+                range_desc(b.lo, b.hi),
+                b.tid,
+                self.name(b.fid),
+                b.block,
+                b.idx,
+            ),
+            location: Location {
+                function: self.name(a.fid).to_string(),
+                block: a.block,
+                inst: Some(a.idx),
+            },
+            region: None,
+            witness: Some(PathWitness::elided(steps, 14)),
+        }
+    }
+
+    fn open_escape(&mut self, cand: &I5Cand) -> Diagnostic {
+        let acc = &cand.store;
+        let f = self.module.function(acc.fid);
+        // Open-region id at the store, for attribution: the last boundary
+        // on the witness path to the store, if any.
+        let region = self
+            .path(acc)
+            .iter()
+            .rev()
+            .find_map(|s| region_of(f, BlockId(s.block), s.idx));
+        let (sb, si, sync) = cand.sync;
+        let why = match sync {
+            Inst::Call { .. } => "callee synchronizes",
+            _ => "publication point",
+        };
+        let path = vec![
+            WitnessStep {
+                block: acc.block,
+                idx: acc.idx,
+                note: format!("{} (escaping store, region open)", self.note(acc.src)),
+            },
+            WitnessStep {
+                block: sb,
+                idx: si,
+                note: format!("{} ({why})", fmt_inst(sync)),
+            },
+        ];
+        Diagnostic {
+            severity: Severity::Error,
+            invariant: Invariant::PersistOrder,
+            code: "I5-open-escape",
+            message: format!(
+                "store to {} escapes to another core but reaches a synchronization \
+                 point with its region still open; a boundary must close the region \
+                 before the value is published (stale-read hazard)",
+                range_desc(acc.lo, acc.hi),
+            ),
+            location: Location {
+                function: self.name(acc.fid).to_string(),
+                block: acc.block,
+                inst: Some(acc.idx),
+            },
+            region,
+            witness: Some(PathWitness::elided(path, 10)),
+        }
+    }
+}
+
 /// Run the static race detector and the I5 persist-order check over
 /// `opts.cores` thread contexts of `module`'s entry function.
 pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
+    if spmd_entry(module).is_none() {
+        return RaceAnalysis::default();
+    }
+    let cg = CallGraph::compute(module);
+    let sums = Summaries::compute(module, &cg);
+    check_with(module, &cg, &sums, opts)
+}
+
+/// The module's entry function, when it exists and is well-formed.
+pub(crate) fn spmd_entry(module: &Module) -> Option<(FuncId, &Function)> {
+    let entry = module.entry()?;
+    if entry.index() >= module.function_count() {
+        return None;
+    }
+    let f = module.function(entry);
+    f.validate().is_ok().then_some((entry, f))
+}
+
+/// [`check_concurrency`] over an already computed call graph and summaries
+/// of `module` (the layered analysis shares its own).
+pub(crate) fn check_with(
+    module: &Module,
+    cg: &CallGraph,
+    sums: &Summaries,
+    opts: &RaceOptions,
+) -> RaceAnalysis {
     let mut out = RaceAnalysis::default();
-    let Some(entry) = module.entry() else {
+    let Some((entry, entry_f)) = spmd_entry(module) else {
         return out;
     };
-    if entry.index() >= module.function_count() {
-        return out;
-    }
-    let entry_f = module.function(entry);
-    if entry_f.validate().is_err() {
-        return out;
-    }
     // An entry that takes no thread-id parameter is single-instance: the
     // multicore machine runs `entry(core)` per core, and a program that
     // cannot observe `core` was never written for SPMD execution. Analyzing
@@ -1051,11 +1263,12 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
     } else {
         opts.cores
     };
-    let cg = CallGraph::compute(module);
-    let sums = Summaries::compute(module, &cg);
 
+    let mut facts: Vec<FuncFacts> = Vec::new();
+    facts.resize_with(module.function_count(), FuncFacts::default);
     let mut per_tid: Vec<Vec<Access>> = Vec::new();
     let mut i5_cands: Vec<I5Cand> = Vec::new();
+    let mut search = OpenSearch::default();
     for tid in 0..cores as u64 {
         let nregs = entry_f.reg_count as usize;
         let mut regs = vec![RVal::cst(0); nregs];
@@ -1065,23 +1278,21 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
         }
         let mut col = Collector {
             module,
-            cg: &cg,
-            sums: &sums,
+            cg,
+            sums,
+            facts: &mut facts,
             tid,
             max_depth: opts.max_call_depth,
             accesses: Vec::new(),
             i5: Vec::new(),
             seen_calls: HashSet::new(),
-            bfs_parents: HashMap::new(),
-            pdoms: HashMap::new(),
-            reach: HashMap::new(),
+            search: &mut search,
         };
         col.collect_function(
             entry,
             AbsState {
                 regs,
-                locks: BTreeSet::new(),
-                acq: BTreeSet::new(),
+                ..AbsState::default()
             },
             0,
         );
@@ -1091,6 +1302,10 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
         i5_cands.append(&mut col.i5);
     }
 
+    let mut w = Witnesses {
+        module,
+        facts: &mut facts,
+    };
     // --- pairwise race check ---
     for t1 in 0..per_tid.len() {
         for t2 in t1 + 1..per_tid.len() {
@@ -1103,19 +1318,17 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
                     if a.kind == AccKind::Atomic && b.kind == AccKind::Atomic {
                         continue;
                     }
-                    if a.locks.intersection(&b.locks).next().is_some() {
+                    if a.locks.meets(&b.locks) {
                         continue;
                     }
-                    let hb = a.rel.intersection(&b.acq).next().is_some()
-                        || b.rel.intersection(&a.acq).next().is_some();
-                    if hb {
+                    if a.rel.meets(&b.acq) || b.rel.meets(&a.acq) {
                         continue;
                     }
                     out.stats.races += 1;
                     if out.diagnostics.len() >= MAX_RACE_DIAGS {
                         continue;
                     }
-                    out.diagnostics.push(race_diag(a, b));
+                    out.diagnostics.push(w.race(a, b));
                 }
             }
         }
@@ -1124,17 +1337,18 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
     // --- I5: a candidate fires when the stored word escapes to another core ---
     // Every context runs the same entry, so the same store site surfaces once
     // per tid; report each static site once.
-    let mut i5_seen: HashSet<(String, u32, usize)> = HashSet::new();
+    let mut i5_seen: HashSet<(&str, u32, usize)> = HashSet::new();
     for cand in &i5_cands {
-        if !i5_seen.insert((cand.func.clone(), cand.block, cand.idx)) {
+        let s = &cand.store;
+        if !i5_seen.insert((w.name(s.fid), s.block, s.idx)) {
             continue;
         }
         let escapes = per_tid
             .iter()
             .enumerate()
-            .filter(|(t, _)| *t as u64 != cand.tid)
+            .filter(|(t, _)| *t as u64 != s.tid)
             .flat_map(|(_, accs)| accs.iter())
-            .any(|a| a.sym || (cand.lo <= a.hi && a.lo <= cand.hi));
+            .any(|a| a.sym || (s.lo <= a.hi && a.lo <= s.hi));
         if !escapes {
             continue;
         }
@@ -1142,24 +1356,7 @@ pub fn check_concurrency(module: &Module, opts: &RaceOptions) -> RaceAnalysis {
         if out.diagnostics.len() >= MAX_RACE_DIAGS {
             continue;
         }
-        out.diagnostics.push(Diagnostic {
-            severity: Severity::Error,
-            invariant: Invariant::PersistOrder,
-            code: "I5-open-escape",
-            message: format!(
-                "store to {} escapes to another core but reaches a synchronization \
-                 point with its region still open; a boundary must close the region \
-                 before the value is published (stale-read hazard)",
-                range_desc(cand.lo, cand.hi),
-            ),
-            location: Location {
-                function: cand.func.clone(),
-                block: cand.block,
-                inst: Some(cand.idx),
-            },
-            region: cand.region,
-            witness: Some(PathWitness::elided(cand.path.clone(), 10)),
-        });
+        out.diagnostics.push(w.open_escape(cand));
     }
     out
 }
@@ -1177,47 +1374,6 @@ fn kind_verb(k: AccKind) -> &'static str {
         AccKind::Read => "load",
         AccKind::Write => "store",
         AccKind::Atomic => "atomic",
-    }
-}
-
-fn race_diag(a: &Access, b: &Access) -> Diagnostic {
-    let mut steps: Vec<WitnessStep> = Vec::new();
-    for (acc, label) in [(a, a.tid), (b, b.tid)] {
-        for s in &acc.path {
-            steps.push(WitnessStep {
-                block: s.block,
-                idx: s.idx,
-                note: format!("core {label}: {}", s.note),
-            });
-        }
-    }
-    Diagnostic {
-        severity: Severity::Error,
-        invariant: Invariant::DataRace,
-        code: "R-data-race",
-        message: format!(
-            "{} of {} by core {} ({}/bb{}[{}]) and {} of {} by core {} ({}/bb{}[{}]) \
-             are unordered: no common lock, no acquire/release pairing",
-            kind_verb(a.kind),
-            range_desc(a.lo, a.hi),
-            a.tid,
-            a.func,
-            a.block,
-            a.idx,
-            kind_verb(b.kind),
-            range_desc(b.lo, b.hi),
-            b.tid,
-            b.func,
-            b.block,
-            b.idx,
-        ),
-        location: Location {
-            function: a.func.clone(),
-            block: a.block,
-            inst: Some(a.idx),
-        },
-        region: None,
-        witness: Some(PathWitness::elided(steps, 14)),
     }
 }
 

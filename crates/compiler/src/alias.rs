@@ -12,10 +12,10 @@
 //! to prove for same-base/different-delta and different-constant cases, and
 //! everything else conservatively may-alias.
 
+use cwsp_ir::fxhash::FxHashMap;
 use cwsp_ir::inst::{Inst, MemRef, Operand};
 use cwsp_ir::module::Module;
 use cwsp_ir::types::{Reg, Word};
-use std::collections::HashMap;
 
 /// Abstract value of a register along a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +57,10 @@ pub fn may_alias(a: AbstractAddr, b: AbstractAddr) -> bool {
 #[derive(Debug, Clone)]
 pub struct PathState<'m> {
     module: &'m Module,
-    vals: HashMap<Reg, AbstractVal>,
+    /// Abstract value of each register the path has read or written. A
+    /// map, not a table indexed by register: the autofence pass runs this
+    /// over unvalidated modules, whose register numbers are unbounded.
+    vals: FxHashMap<Reg, AbstractVal>,
     next_sym: u32,
 }
 
@@ -66,9 +69,16 @@ impl<'m> PathState<'m> {
     pub fn new(module: &'m Module) -> Self {
         PathState {
             module,
-            vals: HashMap::new(),
+            vals: FxHashMap::default(),
             next_sym: 0,
         }
+    }
+
+    /// Forget the path: back to the [`PathState::new`] state, keeping the
+    /// map's allocation.
+    pub fn reset(&mut self) {
+        self.vals.clear();
+        self.next_sym = 0;
     }
 
     fn fresh(&mut self) -> AbstractVal {

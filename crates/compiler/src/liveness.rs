@@ -130,7 +130,7 @@ pub(crate) fn solve_backward(
     kill: &[RegSet],
 ) -> (Vec<RegSet>, Vec<RegSet>) {
     let nregs = f.reg_count as usize;
-    let succs: Vec<Vec<BlockId>> = f
+    let succs: Vec<cfg::Successors> = f
         .iter_blocks()
         .map(|(b, _)| cfg::successors(f, b))
         .collect();

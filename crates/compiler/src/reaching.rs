@@ -187,7 +187,7 @@ impl ReachingDefs {
             reach_in[f.entry().index() * words + s as usize / 64] |= 1 << (s % 64);
         }
         let rpo = cfg::reverse_post_order(f);
-        let succs: Vec<Vec<BlockId>> = rpo.iter().map(|&b| cfg::successors(f, b)).collect();
+        let succs: Vec<cfg::Successors> = rpo.iter().map(|&b| cfg::successors(f, b)).collect();
         let mut out = vec![0u64; words];
         let mut changed = true;
         while changed {

@@ -26,7 +26,7 @@ use cwsp_ir::cfg;
 use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
-use cwsp_ir::types::{Reg, RegionId};
+use cwsp_ir::types::RegionId;
 use std::collections::{BTreeSet, HashMap};
 
 /// Limits for path enumeration inside a region tree. If exceeded, the
@@ -218,6 +218,14 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
 
     let mut cuts: BTreeSet<(u32, usize)> = BTreeSet::new();
     let mut overflow: Vec<BlockId> = Vec::new();
+    // Last prior use position of each register on the current path, by
+    // register index (`UNUSED` when none); after each path only the
+    // registers in `used` are reset. Registers are below `reg_count`, as
+    // for the liveness pass that runs before this one.
+    const UNUSED: usize = usize::MAX;
+    let mut last_use: Vec<usize> = vec![UNUSED; f.reg_count as usize];
+    let mut used: Vec<usize> = Vec::new();
+    let mut st = PathState::new(module);
 
     for root in roots {
         // Enumerate root-to-leaf paths of this region tree (bounded DFS).
@@ -297,11 +305,9 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
 
         // Analyze each path: collect WAR intervals, then stab greedily.
         for path in &paths {
-            let mut st = PathState::new(module);
+            st.reset();
             // loads: (path position index, abstract address)
             let mut loads: Vec<(usize, crate::alias::AbstractAddr)> = Vec::new();
-            // last prior use position of each register on this path
-            let mut last_use: HashMap<Reg, usize> = HashMap::new();
             // intervals (lo, hi]: a cut strictly after path position lo and at
             // or before hi breaks the pair. Cut at path position p means
             // "insert before the instruction at path[p]".
@@ -337,14 +343,21 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                         if p > 0 {
                             intervals.push((p - 1, p));
                         }
-                    } else if let Some(&u) = last_use.get(&d) {
-                        intervals.push((u, p));
+                    } else if last_use[d.index()] != UNUSED {
+                        intervals.push((last_use[d.index()], p));
                     }
                 }
                 for u in inst.uses() {
-                    last_use.insert(u, p);
+                    let r = u.index();
+                    if last_use[r] == UNUSED {
+                        used.push(r);
+                    }
+                    last_use[r] = p;
                 }
                 st.transfer(inst);
+            }
+            for r in used.drain(..) {
+                last_use[r] = UNUSED;
             }
 
             if intervals.is_empty() {

@@ -5,21 +5,55 @@
 use crate::function::{BlockId, Function};
 use crate::inst::Inst;
 
+/// The successor blocks of one block: at most two, `if_true` before
+/// `if_false`, a target named by both arms listed once. Held inline, so
+/// computing it allocates nothing; it derefs to a slice and iterates by
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len as usize)
+    }
+}
+
+impl<'a> IntoIterator for &'a Successors {
+    type Item = &'a BlockId;
+    type IntoIter = std::slice::Iter<'a, BlockId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Successor blocks of `block` in `f`.
-pub fn successors(f: &Function, block: BlockId) -> Vec<BlockId> {
-    match f.block(block).insts.last() {
-        Some(Inst::Br { target }) => vec![*target],
+pub fn successors(f: &Function, block: BlockId) -> Successors {
+    let (blocks, len) = match f.block(block).insts.last() {
+        Some(Inst::Br { target }) => ([*target; 2], 1),
         Some(Inst::CondBr {
             if_true, if_false, ..
-        }) => {
-            if if_true == if_false {
-                vec![*if_true]
-            } else {
-                vec![*if_true, *if_false]
-            }
-        }
-        _ => Vec::new(),
-    }
+        }) => (
+            [*if_true, *if_false],
+            if if_true == if_false { 1 } else { 2 },
+        ),
+        _ => ([BlockId(0); 2], 0),
+    };
+    Successors { blocks, len }
 }
 
 /// Predecessor lists for every block, indexed by block id.
@@ -453,6 +487,28 @@ mod tests {
         // header has 2 preds: entry and latch
         assert_eq!(preds[header.index()].len(), 2);
         assert!(successors(&f, exit).is_empty());
+    }
+
+    #[test]
+    fn successors_keep_arm_order_and_list_a_shared_target_once() {
+        let mut b = FunctionBuilder::new("f", 1);
+        let e = b.entry();
+        let (x, y) = (b.block(), b.block());
+        let c = b.param(0);
+        let cond = |t, f| Inst::CondBr {
+            cond: c.into(),
+            if_true: t,
+            if_false: f,
+        };
+        b.push(e, cond(y, x));
+        b.push(x, cond(x, x));
+        b.push(y, Inst::Br { target: y });
+        let f = b.build();
+        assert_eq!(*successors(&f, e), [y, x]);
+        assert_eq!(successors(&f, e).into_iter().collect::<Vec<_>>(), [y, x]);
+        assert_eq!(*successors(&f, x), [x]);
+        assert_eq!(successors(&f, x).into_iter().count(), 1);
+        assert_eq!(*successors(&f, y), [y]);
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub struct Machine<'m> {
     /// id at the last metadata write) — survives an empty RBT at the crash.
     resume_dyn: Vec<Option<u64>>,
     /// Reused scratch for [`MemoryController::tick_drained`] output.
-    nvm_drained: Vec<(Word, DynRegionId)>,
+    nvm_drained: Vec<(u64, u8, Word, DynRegionId)>,
     /// Cached sum of live MC undo-log records; recomputed only when a log
     /// append or deallocation may have changed it (`logs_dirty`).
     live_logs_cache: usize,
@@ -662,10 +662,12 @@ impl<'m> Machine<'m> {
     /// Exactness: a skipped cycle's tick would only (a) accrue path tokens —
     /// replayed bit-exactly by [`PersistPath::advance`]; (b) pop drained WPQ
     /// slots — deferred safely because pops are monotone and only observed at
-    /// arrivals or core loads, both of which bound `T`; and (c) add the
+    /// arrivals or core loads, both of which bound `T`, and journaled (when a
+    /// flight recorder is attached) at each slot's own `free_at` cycle in
+    /// (cycle, controller) order by the tick that pops them; and (c) add the
     /// (constant while idle) WB/PB occupancies to their integrals — added in
-    /// closed form here. Every stat, trace event, and state transition is
-    /// byte-identical to the cycle-by-cycle path.
+    /// closed form here. Every stat, trace event, flight-journal record and
+    /// state transition is byte-identical to the cycle-by-cycle path.
     fn idle_skip(&mut self, crash_at_cycle: Option<u64>) {
         let cycle = self.cycle;
         let mut t = u64::MAX;
@@ -774,24 +776,25 @@ impl<'m> Machine<'m> {
 
         // --- persist machinery ---
         self.path.tick();
-        if self.flight.is_some() {
-            // Recorder attached: observe each drained WPQ slot as an NVM
-            // media commit. The plain `tick` below stays on the hot path.
-            let mut drained = std::mem::take(&mut self.nvm_drained);
-            for mi in 0..self.mcs.len() {
-                drained.clear();
-                self.mcs[mi].tick_drained(cycle, &mut drained);
-                if let Some(f) = &mut self.flight {
-                    for &(addr, region) in &drained {
-                        let mut r = FlightRecord::new(FlightKind::NvmCommit, cycle);
-                        r.mc = mi as u8;
-                        r.addr = addr;
-                        r.region = region.0;
-                        f.record(r);
-                    }
-                }
+        if let Some(f) = &mut self.flight {
+            // Recorder attached: journal each drained WPQ slot as an NVM
+            // media commit at its `free_at` cycle. After an idle skip one
+            // tick pops the slots of many cycles; ordering the batch by
+            // (free_at, mc) — stable, so each controller keeps its FIFO
+            // order — gives the cycle-by-cycle path's journal exactly. The
+            // plain `tick` below stays on the recorder-off hot path.
+            self.nvm_drained.clear();
+            for mc in &mut self.mcs {
+                mc.tick_drained(cycle, &mut self.nvm_drained);
             }
-            self.nvm_drained = drained;
+            self.nvm_drained.sort_by_key(|&(at, mi, ..)| (at, mi));
+            for &(at, mi, addr, region) in &self.nvm_drained {
+                let mut r = FlightRecord::new(FlightKind::NvmCommit, at);
+                r.mc = mi;
+                r.addr = addr;
+                r.region = region.0;
+                f.record(r);
+            }
         } else {
             for mc in &mut self.mcs {
                 mc.tick(cycle);

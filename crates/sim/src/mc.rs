@@ -150,14 +150,16 @@ impl MemoryController {
         }
     }
 
-    /// Like [`MemoryController::tick`], but reports each drained slot's
-    /// (addr, region) into `out` — the flight recorder's NVM-commit hook.
-    /// Only called when a recorder is attached; the plain `tick` stays on
-    /// the recorder-off hot path.
-    pub fn tick_drained(&mut self, cycle: u64, out: &mut Vec<(Word, DynRegionId)>) {
+    /// Like [`MemoryController::tick`], but appends each drained slot's
+    /// (free_at, controller id, addr, region) to `out` — the flight
+    /// recorder's NVM-commit hook. `free_at` is the media-commit cycle,
+    /// which precedes `cycle` when an idle skip deferred the pop. Only
+    /// called when a recorder is attached; the plain `tick` stays on the
+    /// recorder-off hot path.
+    pub fn tick_drained(&mut self, cycle: u64, out: &mut Vec<(u64, u8, Word, DynRegionId)>) {
         while self.wpq.front().is_some_and(|s| s.free_at <= cycle) {
             let s = self.wpq.pop_front().unwrap();
-            out.push((s.addr, s.region));
+            out.push((s.free_at, self.id as u8, s.addr, s.region));
         }
     }
 

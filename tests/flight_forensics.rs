@@ -1,13 +1,16 @@
 //! Flight recorder + crash forensics, end to end over real workloads.
 //!
-//! Three claims are pinned here:
+//! Four claims are pinned here:
 //! 1. a disabled recorder is invisible — simulated statistics and output are
 //!    byte-identical with the recorder attached or absent;
 //! 2. the forensic frontier is *exact*: across hundreds of seeded power-fail
 //!    injections, the report's predicted replay set matches the ordered
 //!    write log of the actual recovery replay, address for address;
 //! 3. the journal is crash-survivable — a directory-backed journal written
-//!    through the spill store reads back from disk after the machine died.
+//!    through the spill store reads back from disk after the machine died;
+//! 4. the journal does not depend on how the machine advanced time — the
+//!    idle-skip fast-forward and the cycle-by-cycle path record the same
+//!    events at the same cycles in the same order.
 
 use cwsp::core::system::CwspSystem;
 use cwsp::obs::flight::{read_journal, FlightKind, FlightRecorder};
@@ -33,6 +36,43 @@ fn recorder_is_invisible_to_simulated_results() {
         assert!(
             !on.flight_records().is_empty(),
             "{name}: the recorder did record"
+        );
+    }
+}
+
+/// The idle-skip fast-forward defers WPQ pops to the tick after the skip;
+/// the journal must still carry each NVM commit at its media-commit cycle,
+/// in cycle-by-cycle order. A profiled machine never idle-skips, so its
+/// journal is the reference.
+#[test]
+fn idle_skip_journals_commits_like_the_cycle_by_cycle_path() {
+    for name in ["tatp", "kmeans", "radix"] {
+        let w = cwsp::workloads::by_name(name).unwrap();
+        let system = CwspSystem::compile(&w.module);
+        let cfg = SimConfig::default();
+        let journal = |profiled: bool| {
+            let mut m = Machine::new(&system.compiled.module, &cfg, Scheme::cwsp());
+            if profiled {
+                m.enable_profiler();
+            }
+            m.enable_flight().unwrap();
+            m.run(50_000_000, None).unwrap();
+            m.flight_records()
+        };
+        let (skipping, reference) = (journal(false), journal(true));
+        let commits = reference
+            .iter()
+            .filter(|r| r.kind == FlightKind::NvmCommit)
+            .count();
+        assert!(commits > 0, "{name}: no NVM commits journaled");
+        assert_eq!(skipping.len(), reference.len(), "{name}: record count");
+        let first = skipping.iter().zip(&reference).position(|(a, b)| a != b);
+        assert_eq!(
+            first,
+            None,
+            "{name}: journals differ first at record {first:?}: {:?} vs {:?}",
+            first.map(|i| skipping[i]),
+            first.map(|i| reference[i]),
         );
     }
 }
