@@ -55,12 +55,12 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
 /// Parse a module from its textual form.
 ///
 /// # Errors
-/// Returns the first syntax error with its line number. The parsed module is
-/// additionally structurally validated.
+/// Returns the first syntax error with its line number. Each parsed function
+/// body is additionally structurally validated (`Function::validate`); a
+/// violation is reported at the function's header line.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut lines = text.lines().enumerate().peekable();
     let mut module: Option<Module> = None;
-    let entry_hint: Option<String> = None;
 
     while let Some((ln, raw)) = lines.next() {
         let line = raw.trim();
@@ -130,16 +130,17 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 }
             }
             let f = Function {
-                name: name.clone(),
+                name,
                 param_count: params,
                 reg_count: regs,
                 blocks,
             };
+            f.validate().map_err(|msg| ParseError { line: n, msg })?;
+            let is_main = f.name == "main";
             let id = m.add_function(f);
-            if name == "main" || entry_hint.as_deref() == Some(&name) {
+            if is_main {
                 m.set_entry(id);
             }
-            let _ = id;
         } else {
             return err(n, format!("unrecognized line: {line}"));
         }
@@ -669,6 +670,20 @@ mod tests {
         assert!(e.to_string().contains("frobnicate"));
         let e = parse_module("global g : 4 words @ 0").unwrap_err();
         assert!(e.msg.contains("before module"));
+    }
+
+    #[test]
+    fn invalid_bodies_are_errors_at_the_function_header() {
+        // A register beyond `regs=` and a branch to a missing block would
+        // index out of bounds in every later pass; the parser rejects them.
+        let text = "module m\n\nfn main(params=0) regs=2 {\nbb0:\n    r3000000000 = add r1, 1\n    halt\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("out of range"), "{e}");
+        let text = "module m\nfn main(params=0) regs=1 {\nbb0:\n    br bb7\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("bb7"), "{e}");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! so an injected crash (or a `SIGKILL` mid-run, with `CWSP_FLIGHT_DIR`
 //! set) leaves every flushed page readable by the forensics layer.
 //!
-//! Gating follows the `NullSink` discipline: the recorder lives behind an
-//! `Option` in the machine, so recorder-off paths cost exactly one branch
-//! per hook site (enforced by the stats-invariance tests in
-//! `tests/flight_forensics.rs`).
+//! The simulator feeds the recorder from its persist-event stream
+//! (`cwsp_sim::event`), whose consumers sit behind one `Option` in the
+//! machine: with none attached each hook costs one predicted branch. No test
+//! measures that cost; `tests/flight_forensics.rs` pins that attaching the
+//! recorder leaves the simulated stats and output byte-identical.
 //!
 //! Record encoding (4 little-endian u64 words):
 //!
@@ -96,23 +97,6 @@ impl FlightKind {
             10 => FlightKind::PowerFail,
             _ => return None,
         })
-    }
-
-    /// Short stable name for text/JSON rendering.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FlightKind::Pad => "pad",
-            FlightKind::Header => "header",
-            FlightKind::StoreIssue => "store_issue",
-            FlightKind::LineEvict => "line_evict",
-            FlightKind::WpqEnqueue => "wpq_enqueue",
-            FlightKind::NvmCommit => "nvm_commit",
-            FlightKind::RegionOpen => "region_open",
-            FlightKind::RegionClose => "region_close",
-            FlightKind::Checkpoint => "checkpoint",
-            FlightKind::SyncCommit => "sync_commit",
-            FlightKind::PowerFail => "power_fail",
-        }
     }
 }
 

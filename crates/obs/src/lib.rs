@@ -30,9 +30,9 @@
 //!   paths cost one `enabled()` check when observability is off.
 //!
 //! The simulator's per-event hot path does *not* go through a `dyn` sink —
-//! it keeps its fixed-capacity typed ring (`cwsp_sim::trace::Trace`, gated
-//! by an `Option` branch) and converts to this crate's representations at
-//! export time. See DESIGN.md §8 for the architecture.
+//! it emits one typed event stream (`cwsp_sim::event`, gated by an `Option`
+//! branch) into its trace ring and flight journal, and converts to this
+//! crate's representations at export time. See DESIGN.md §8.
 
 pub mod chrome;
 pub mod flight;

@@ -7,8 +7,8 @@
 //! disabled path costs one predictable branch.
 //!
 //! The simulator's per-event hot path deliberately does **not** use this
-//! trait: a `dyn` call per simulated event would be measurable. It keeps
-//! its typed ring (`cwsp_sim::trace::Trace`) and converts at export time.
+//! trait: a `dyn` call per simulated event would be measurable. It emits a
+//! typed event stream (`cwsp_sim::event`) and converts at export time.
 //!
 //! Provided sinks:
 //! * [`NullSink`] — the disabled default.

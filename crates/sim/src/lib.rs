@@ -45,6 +45,7 @@
 pub mod cache;
 pub mod config;
 pub mod energy;
+pub mod event;
 pub mod iodevice;
 pub mod machine;
 pub mod mc;

@@ -11,13 +11,14 @@
 
 use crate::cache::{line_of, Cache};
 use crate::config::SimConfig;
+use crate::event::{Consumers, Event, StallKind};
 use crate::iodevice::IoDevice;
 use crate::mc::MemoryController;
 use crate::persist::{PersistBuffer, PersistPath, RbtEntry, RegionBoundaryTable};
 use crate::profiler::{Cause, CycleProfiler, Site};
 use crate::scheme::Scheme;
 use crate::stats::SimStats;
-use crate::trace::{Event, StallKind, Trace};
+use crate::trace::Trace;
 use crate::wbuf::WriteBuffer;
 use cwsp_ir::decoded::DecodedModule;
 use cwsp_ir::interp::{
@@ -28,7 +29,7 @@ use cwsp_ir::memory::Memory;
 use cwsp_ir::module::Module;
 use cwsp_ir::types::{DynRegionId, RegionId, Word};
 use cwsp_ir::{BlockId, FuncId, Inst};
-use cwsp_obs::flight::{FlightKind, FlightRecord, FlightRecorder, REGION_NONE};
+use cwsp_obs::flight::{FlightRecord, FlightRecorder};
 use cwsp_obs::forensics::{CoreFrontier, MachineFrontier};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -97,8 +98,9 @@ struct Core<'m> {
     capri_region_lines: Vec<u64>,
     /// Reused effect buffer so the execute stage never allocates.
     eff_scratch: StepEffect,
-    /// In-progress coalesced stall span (only ever `Some` while tracing).
-    open_stall: Option<OpenStall>,
+    /// In-progress coalesced [`Event::Stall`] span (only ever `Some` while a
+    /// trace ring is attached).
+    open_stall: Option<Event>,
     /// Site of the last issued instruction (profiler busy attribution).
     prof_site: Site,
     /// Superblock of the last issued instruction (profiler attribution at
@@ -109,16 +111,6 @@ struct Core<'m> {
     prof_busy_wpq: u64,
     /// Scheme-stall cycles folded into the current instruction's cost.
     prof_busy_scheme: u64,
-}
-
-/// A stall span being coalesced for the trace ring: consecutive stall
-/// cycles of one kind on one region collapse into a single [`Event::Stall`].
-#[derive(Debug, Clone, Copy)]
-struct OpenStall {
-    kind: StallKind,
-    region: Option<DynRegionId>,
-    start: u64,
-    cycles: u64,
 }
 
 /// What one issue slot did (drives both the issue loop and the profiler).
@@ -148,11 +140,10 @@ pub struct Machine<'m> {
     stats: SimStats,
     device: IoDevice,
     resume_meta: Vec<(ResumePoint, Option<RegionId>)>,
-    trace: Option<Trace>,
+    /// Consumers of the persist-event stream (trace ring, flight journal).
+    /// `None` keeps every hook to a single predicted-not-taken branch.
+    consumers: Option<Consumers>,
     profiler: Option<CycleProfiler>,
-    /// Crash-survivable flight recorder (persist-path event journal). `None`
-    /// keeps every hook to a single predicted-not-taken branch.
-    flight: Option<FlightRecorder>,
     /// Shadow of each core's persisted resume region (the RBT head's dynamic
     /// id at the last metadata write) — survives an empty RBT at the crash.
     resume_dyn: Vec<Option<u64>>,
@@ -286,9 +277,11 @@ impl<'m> Machine<'m> {
             stats: SimStats::default(),
             device: IoDevice::new(),
             resume_meta,
-            trace: None,
+            consumers: FlightRecorder::from_config().map(|journal| Consumers {
+                ring: None,
+                journal: Some(journal),
+            }),
             profiler: None,
-            flight: FlightRecorder::from_config(),
             resume_dyn: vec![None; cfg.cores],
             nvm_drained: Vec::new(),
             live_logs_cache: 0,
@@ -338,7 +331,7 @@ impl<'m> Machine<'m> {
     /// Enable event tracing with a ring of `cap` events (see
     /// [`crate::trace::Trace`]); call before [`Machine::run`].
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::new(cap));
+        self.consumers.get_or_insert_with(Consumers::default).ring = Some(Trace::new(cap));
     }
 
     /// Enable the durability-ordering oracle (AutoFence crash tests); call
@@ -372,7 +365,7 @@ impl<'m> Machine<'m> {
 
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.consumers.as_ref()?.ring.as_ref()
     }
 
     /// Force-enable the flight recorder (independent of `CWSP_FLIGHT`); call
@@ -381,8 +374,8 @@ impl<'m> Machine<'m> {
     /// # Errors
     /// Propagates journal-file creation failure.
     pub fn enable_flight(&mut self) -> std::io::Result<()> {
-        if self.flight.is_none() {
-            self.flight = Some(FlightRecorder::create()?);
+        if self.flight().is_none() {
+            self.attach_flight(FlightRecorder::create()?);
         }
         Ok(())
     }
@@ -390,19 +383,20 @@ impl<'m> Machine<'m> {
     /// Attach a recorder built elsewhere (e.g. on a caller-chosen journal
     /// directory), replacing any existing one.
     pub fn attach_flight(&mut self, f: FlightRecorder) {
-        self.flight = Some(f);
+        self.consumers
+            .get_or_insert_with(Consumers::default)
+            .journal = Some(f);
     }
 
     /// The attached flight recorder, if any.
     pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.consumers.as_ref()?.journal.as_ref()
     }
 
     /// Decoded journal records (flushed pages plus the in-memory tail), or
     /// empty when no recorder is attached.
     pub fn flight_records(&self) -> Vec<FlightRecord> {
-        self.flight
-            .as_ref()
+        self.flight()
             .map(FlightRecorder::records)
             .unwrap_or_default()
     }
@@ -473,79 +467,58 @@ impl<'m> Machine<'m> {
     /// The recorded trace as Chrome trace-event JSON tracks, if tracing was
     /// enabled.
     pub fn chrome_trace(&self) -> Option<cwsp_obs::ChromeTrace> {
-        self.trace
-            .as_ref()
+        self.trace()
             .map(|t| t.to_chrome(self.cores.len(), self.mcs.len()))
     }
 
-    #[inline]
-    fn emit(&mut self, e: Event) {
-        if let Some(t) = &mut self.trace {
-            t.record(e);
-        }
-    }
-
-    /// Note one traced stall cycle on core `i`, coalescing consecutive
-    /// cycles of the same kind/region into one span event. No-op (one
-    /// branch) when tracing is off.
-    #[inline]
-    fn note_stall(&mut self, i: usize, kind: StallKind) {
-        if self.trace.is_none() {
+    /// Emit one persist event to the attached consumers: the one reader of
+    /// `self.consumers` besides the public accessors. With none attached
+    /// this is one predicted branch and `event` never runs, so a hook builds
+    /// nothing; `event` may return `None` to emit nothing.
+    #[inline(always)]
+    fn emit<E: Into<Option<Event>>>(&mut self, event: impl FnOnce(&mut Self) -> E) {
+        if self.consumers.is_none() {
             return;
         }
-        // The draining region is the RBT head (oldest unpersisted); fall
-        // back to the open tail for stalls before anything is in flight.
-        let region = {
-            let rbt = &self.cores[i].rbt;
-            rbt.head()
-                .map(|e| e.dyn_id)
-                .or_else(|| rbt.tail().map(|e| e.dyn_id))
-        };
-        let cycle = self.cycle;
-        let prev = {
-            let slot = &mut self.cores[i].open_stall;
-            match slot {
-                Some(s) if s.kind == kind && s.region == region => {
-                    s.cycles += 1;
+        if let (Some(e), Some(c)) = (event(self).into(), &mut self.consumers) {
+            c.consume(e);
+        }
+    }
+
+    /// Note one stall cycle on core `i`. Consecutive cycles of the same
+    /// kind on the same draining region coalesce into one span, emitted when
+    /// it ends. Stall spans are ring-only, so without a ring nothing is
+    /// coalesced.
+    #[inline]
+    fn note_stall(&mut self, i: usize, kind: StallKind) {
+        if self.trace().is_none() {
+            return;
+        }
+        self.emit(|m| {
+            // The draining region is the RBT head (oldest unpersisted); fall
+            // back to the open tail for stalls before anything is in flight.
+            let rbt = &m.cores[i].rbt;
+            let region = rbt.head().or_else(|| rbt.tail()).map(|e| e.dyn_id);
+            let span = Event::Stall {
+                cycle: m.cycle,
+                core: i,
+                kind,
+                region,
+                cycles: 1,
+            };
+            match &mut m.cores[i].open_stall {
+                Some(Event::Stall {
+                    kind: k,
+                    region: r,
+                    cycles,
+                    ..
+                }) if *k == kind && *r == region => {
+                    *cycles += 1;
                     None
                 }
-                _ => slot.replace(OpenStall {
-                    kind,
-                    region,
-                    start: cycle,
-                    cycles: 1,
-                }),
+                open => open.replace(span),
             }
-        };
-        if let Some(p) = prev {
-            self.emit(Event::Stall {
-                cycle: p.start,
-                core: i,
-                kind: p.kind,
-                region: p.region,
-                cycles: p.cycles,
-            });
-        }
-    }
-
-    /// Flush core `i`'s in-progress stall span into the ring (the stall
-    /// ended: the core issued, or the run is ending).
-    fn flush_stall(&mut self, i: usize) {
-        if let Some(p) = self.cores[i].open_stall.take() {
-            self.emit(Event::Stall {
-                cycle: p.start,
-                core: i,
-                kind: p.kind,
-                region: p.region,
-                cycles: p.cycles,
-            });
-        }
-    }
-
-    fn flush_all_stalls(&mut self) {
-        for i in 0..self.cores.len() {
-            self.flush_stall(i);
-        }
+        });
     }
 
     /// Charge one profiled core-cycle (no-op branch when profiling is off).
@@ -612,38 +585,26 @@ impl<'m> Machine<'m> {
     ) -> Result<RunResult, InterpError> {
         loop {
             let done = self.all_done();
-            if let Some(c) = crash_at_cycle.filter(|_| !done) {
-                if self.cycle >= c {
-                    self.flush_all_stalls();
-                    self.emit(Event::PowerFailure { cycle: self.cycle });
-                    if let Some(f) = &mut self.flight {
-                        f.record(FlightRecord::new(FlightKind::PowerFail, self.cycle));
-                        f.seal();
-                    }
-                    self.finalize_stats();
-                    return Ok(RunResult {
-                        end: RunEnd::PowerFailure,
-                        stats: self.stats.clone(),
-                    });
+            let end = if crash_at_cycle.is_some_and(|c| !done && self.cycle >= c) {
+                Some(RunEnd::PowerFailure)
+            } else if self.stats.insts >= max_insts {
+                Some(RunEnd::InstLimit)
+            } else if done {
+                Some(RunEnd::Completed)
+            } else {
+                None
+            };
+            if let Some(end) = end {
+                for i in 0..self.cores.len() {
+                    self.emit(|m| m.cores[i].open_stall.take());
                 }
-            }
-            if self.stats.insts >= max_insts {
-                if let Some(f) = &mut self.flight {
-                    f.seal();
-                }
-                self.finalize_stats();
-                return Ok(RunResult {
-                    end: RunEnd::InstLimit,
-                    stats: self.stats.clone(),
+                self.emit(|m| Event::RunEnd {
+                    cycle: m.cycle,
+                    end,
                 });
-            }
-            if done {
-                if let Some(f) = &mut self.flight {
-                    f.seal();
-                }
                 self.finalize_stats();
                 return Ok(RunResult {
-                    end: RunEnd::Completed,
+                    end,
                     stats: self.stats.clone(),
                 });
             }
@@ -745,7 +706,6 @@ impl<'m> Machine<'m> {
     }
 
     fn finalize_stats(&mut self) {
-        self.flush_all_stalls();
         self.stats.cycles = self.cycle;
         let mut mix = [0u64; cwsp_ir::decoded::OPCODE_COUNT];
         for core in &self.cores {
@@ -776,10 +736,10 @@ impl<'m> Machine<'m> {
 
         // --- persist machinery ---
         self.path.tick();
-        if let Some(f) = &mut self.flight {
-            // Recorder attached: journal each drained WPQ slot as an NVM
-            // media commit at its `free_at` cycle. After an idle skip one
-            // tick pops the slots of many cycles; ordering the batch by
+        if self.flight().is_some() {
+            // Journal attached: emit each drained WPQ slot as an NVM media
+            // commit at its `free_at` cycle. After an idle skip one tick
+            // pops the slots of many cycles; ordering the batch by
             // (free_at, mc) — stable, so each controller keeps its FIFO
             // order — gives the cycle-by-cycle path's journal exactly. The
             // plain `tick` below stays on the recorder-off hot path.
@@ -788,13 +748,16 @@ impl<'m> Machine<'m> {
                 mc.tick_drained(cycle, &mut self.nvm_drained);
             }
             self.nvm_drained.sort_by_key(|&(at, mi, ..)| (at, mi));
-            for &(at, mi, addr, region) in &self.nvm_drained {
-                let mut r = FlightRecord::new(FlightKind::NvmCommit, at);
-                r.mc = mi;
-                r.addr = addr;
-                r.region = region.0;
-                f.record(r);
+            let drained = std::mem::take(&mut self.nvm_drained);
+            for &(at, mc, addr, region) in &drained {
+                self.emit(|_| Event::NvmCommit {
+                    cycle: at,
+                    mc: mc as usize,
+                    region,
+                    addr,
+                });
             }
+            self.nvm_drained = drained;
         } else {
             for mc in &mut self.mcs {
                 mc.tick(cycle);
@@ -803,11 +766,6 @@ impl<'m> Machine<'m> {
         // Path arrivals → WPQ (FIFO; head-of-line blocks on a full WPQ).
         let cacheline_scheme = matches!(self.scheme, Scheme::Capri | Scheme::ReplayCache);
         while let Some(e) = self.path.peek_arrival(cycle).copied() {
-            let logs_before = if self.trace.is_some() || self.flight.is_some() {
-                self.mcs[e.mc].log_appends
-            } else {
-                0
-            };
             let accepted = if cacheline_scheme {
                 // Line payloads are not materialized; charge timing only.
                 self.mcs[e.mc].accept_timing_only(cycle, e.region, e.addr)
@@ -818,29 +776,14 @@ impl<'m> Machine<'m> {
                 break;
             }
             self.path.pop_arrival();
-            if self.trace.is_some() && self.mcs[e.mc].log_appends > logs_before {
-                self.emit(Event::UndoLogged {
-                    cycle,
-                    mc: e.mc,
-                    region: e.region,
-                    addr: e.addr,
-                });
-            }
-            self.emit(Event::PersistArrive {
+            self.emit(|m| Event::WpqAccept {
                 cycle,
+                core: e.core,
                 mc: e.mc,
                 region: e.region,
                 addr: e.addr,
+                logged: !cacheline_scheme && m.mcs[e.mc].logs(e.region, e.log_bit),
             });
-            if let Some(f) = &mut self.flight {
-                let mut r = FlightRecord::new(FlightKind::WpqEnqueue, cycle);
-                r.core = e.core as u8;
-                r.mc = e.mc as u8;
-                r.logged = self.mcs[e.mc].log_appends > logs_before;
-                r.addr = e.addr;
-                r.region = e.region.0;
-                f.record(r);
-            }
             let core = &mut self.cores[e.core];
             core.pb.complete(e.pb_seq);
             core.rbt.on_ack(e.region);
@@ -867,17 +810,11 @@ impl<'m> Machine<'m> {
             while let Some(retired) = self.cores[i].rbt.try_retire() {
                 // Release the region's I/O redo buffer to the device (§VIII).
                 self.device.flush_region(retired.dyn_id);
-                self.emit(Event::RegionRetire {
+                self.emit(|_| Event::RegionRetire {
                     cycle,
                     core: i,
                     region: retired.dyn_id,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::RegionClose, cycle);
-                    r.core = i as u8;
-                    r.region = retired.dyn_id.0;
-                    f.record(r);
-                }
                 if let Some(h) = self.cores[i].rbt.head() {
                     let hid = h.dyn_id;
                     for mc in &mut self.mcs {
@@ -938,24 +875,23 @@ impl<'m> Machine<'m> {
                 // dispatch. Each such op is exactly what advance_core_once
                 // would do for it — an empty ALU effect, cost 1, one issue
                 // slot — so stats and state are byte-identical; only the
-                // per-op dispatch overhead is elided. (Skipped while tracing
-                // so stall spans coalesce identically.)
-                if self.trace.is_none() {
-                    let c = &mut self.cores[i];
-                    if !c.halted
-                        && c.busy_until <= self.cycle
-                        && !c.sync_drain
-                        && c.pending_boundary.is_none()
-                        && c.pending_evictions.is_empty()
-                        && c.pending_pb.is_empty()
-                    {
-                        let burst = c.interp.step_run(slots);
-                        if burst > 0 {
-                            c.region_insts += burst as u64;
-                            self.stats.insts += burst as u64;
-                            slots -= burst;
-                            continue;
-                        }
+                // per-op dispatch overhead is elided. The burst emits no
+                // events, and no stall span is open under these guards (every
+                // stall kind leaves one of them set until the core issues).
+                let c = &mut self.cores[i];
+                if !c.halted
+                    && c.busy_until <= self.cycle
+                    && !c.sync_drain
+                    && c.pending_boundary.is_none()
+                    && c.pending_evictions.is_empty()
+                    && c.pending_pb.is_empty()
+                {
+                    let burst = c.interp.step_run(slots);
+                    if burst > 0 {
+                        c.region_insts += burst as u64;
+                        self.stats.insts += burst as u64;
+                        slots -= burst;
+                        continue;
                     }
                 }
                 if !matches!(
@@ -1039,17 +975,11 @@ impl<'m> Machine<'m> {
             if self.cores[i].wb.has_space() {
                 self.cores[i].wb.push(line);
                 self.cores[i].pending_evictions.pop_front();
-                self.emit(Event::WbEnqueue {
+                self.emit(|_| Event::LineEvict {
                     cycle,
                     core: i,
                     line,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::LineEvict, cycle);
-                    r.core = i as u8;
-                    r.addr = line;
-                    f.record(r);
-                }
             } else {
                 self.stats.stall_wb += 1;
                 self.note_stall(i, StallKind::Wb);
@@ -1080,23 +1010,15 @@ impl<'m> Machine<'m> {
                     core.rbt.on_store(self.cfg.mc_of(addr));
                 }
                 core.pending_pb.pop_front();
-                self.emit(Event::PersistIssue {
+                // Issue order with (function, region) attribution: the
+                // spine of the persist lineage.
+                self.emit(|m| Event::StoreIssue {
                     cycle,
                     core: i,
+                    func: m.cores[i].interp.position().map(|rp| rp.func),
                     region,
                     addr,
                 });
-                if let Some(f) = &mut self.flight {
-                    // Issue-order journal entry with (function, region)
-                    // attribution — the spine of the persist lineage.
-                    let func = self.cores[i].interp.position().map(|rp| rp.func.0);
-                    let mut r = FlightRecord::new(FlightKind::StoreIssue, cycle);
-                    r.core = i as u8;
-                    r.func = func;
-                    r.addr = addr;
-                    r.region = region.0;
-                    f.record(r);
-                }
             } else {
                 self.stats.stall_pb += 1;
                 self.note_stall(i, StallKind::Pb);
@@ -1139,17 +1061,11 @@ impl<'m> Machine<'m> {
                 if was_empty {
                     self.write_meta(i);
                 }
-                self.emit(Event::RegionOpen {
-                    cycle: self.cycle,
+                self.emit(|_| Event::RegionOpen {
+                    cycle,
                     core: i,
                     region: dyn_id,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::RegionOpen, self.cycle);
-                    r.core = i as u8;
-                    r.region = dyn_id.0;
-                    f.record(r);
-                }
             }
             self.cores[i].pending_boundary = None;
             self.stats.regions += 1;
@@ -1222,21 +1138,18 @@ impl<'m> Machine<'m> {
                 self.resume_meta[i] = (rp, sr);
                 self.write_meta(i);
             }
-            if let Some(f) = &mut self.flight {
-                // The committed sync advanced the resume point mid-region:
-                // journaled stores of this region issued before this record
-                // never replay.
-                let region = self.cores[i].rbt.head().map_or(REGION_NONE, |h| h.dyn_id.0);
-                let mut r = FlightRecord::new(FlightKind::SyncCommit, cycle);
-                r.core = i as u8;
-                r.region = region;
-                f.record(r);
-            }
+            // The committed sync advanced the resume point mid-region:
+            // journaled stores of this region issued before it never replay.
+            self.emit(|m| Event::SyncCommit {
+                cycle,
+                core: i,
+                region: m.cores[i].rbt.head().map(|h| h.dyn_id),
+            });
         }
 
-        // The stall (if any) ended: complete its coalesced trace span.
+        // The stall (if any) ended: emit its coalesced span.
         if self.cores[i].open_stall.is_some() {
-            self.flush_stall(i);
+            self.emit(|m| m.cores[i].open_stall.take());
         }
         if self.profiler.is_some() {
             // Capture the issue site before stepping (the interpreter's
@@ -1296,16 +1209,13 @@ impl<'m> Machine<'m> {
                 cost = self.store_cost(i, a, v);
                 if eff.kind == EffectKind::Ckpt {
                     self.stats.ckpt_stores += 1;
-                    if let Some(f) = &mut self.flight {
-                        let func = self.cores[i].interp.position().map(|rp| rp.func.0);
-                        let region = self.cores[i].rbt.tail().map_or(REGION_NONE, |e| e.dyn_id.0);
-                        let mut r = FlightRecord::new(FlightKind::Checkpoint, self.cycle);
-                        r.core = i as u8;
-                        r.func = func;
-                        r.addr = a;
-                        r.region = region;
-                        f.record(r);
-                    }
+                    self.emit(|m| Event::Checkpoint {
+                        cycle: m.cycle,
+                        core: i,
+                        func: m.cores[i].interp.position().map(|rp| rp.func),
+                        region: m.cores[i].rbt.tail().map(|e| e.dyn_id),
+                        addr: a,
+                    });
                 } else {
                     self.stats.stores += 1;
                 }
@@ -1867,7 +1777,6 @@ mod tests {
 mod trace_tests {
     use super::*;
     use crate::scheme::Scheme;
-    use crate::trace::Event;
     use cwsp_ir::builder::{build_counted_loop, FunctionBuilder};
     use cwsp_ir::inst::{BinOp, Inst, MemRef, Operand};
 
@@ -1917,8 +1826,11 @@ mod trace_tests {
             match e {
                 Event::RegionOpen { .. } => opened += 1,
                 Event::RegionRetire { .. } => retired += 1,
-                Event::PersistArrive { .. } => arrived += 1,
-                Event::PowerFailure { .. } => failed += 1,
+                Event::WpqAccept { .. } => arrived += 1,
+                Event::RunEnd {
+                    end: RunEnd::PowerFailure,
+                    ..
+                } => failed += 1,
                 _ => {}
             }
         }
@@ -1941,8 +1853,8 @@ mod trace_tests {
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
         // PB issues are traced now that stores route through the machinery.
         assert!(
-            t.events().any(|e| matches!(e, Event::PersistIssue { .. })),
-            "no PersistIssue events traced"
+            t.events().any(|e| matches!(e, Event::StoreIssue { .. })),
+            "no StoreIssue events traced"
         );
     }
 }

@@ -106,6 +106,12 @@ impl MemoryController {
         ok
     }
 
+    /// Whether accepting an arrival appends an undo-log record: its log bit
+    /// is set and its region is younger than the non-speculative horizon.
+    pub fn logs(&self, region: DynRegionId, log_bit: bool) -> bool {
+        log_bit && self.nonspec_horizon.is_none_or(|h| region > h)
+    }
+
     /// Shared acceptance path. With `nvm == None` (timing only) the NVM
     /// image is neither logged nor written; only the WPQ slot and drain time
     /// are charged.
@@ -123,7 +129,7 @@ impl MemoryController {
         }
         let mut cost = self.drain_cycles;
         if let Some(nvm) = nvm {
-            if log_bit && self.nonspec_horizon.is_none_or(|h| region > h) {
+            if self.logs(region, log_bit) {
                 let old = nvm.load(addr);
                 self.logs.entry(region).or_default().push((addr, old));
                 self.log_appends += 1;

@@ -12,7 +12,7 @@
 //! cycle, so the profile's total equals `cycles × cores` and coverage is a
 //! real fraction, not an estimate.
 
-use crate::trace::StallKind;
+use crate::event::StallKind;
 use cwsp_ir::module::Module;
 use cwsp_ir::types::RegionId;
 use cwsp_ir::FuncId;

@@ -2,230 +2,120 @@
 //!
 //! Debugging crash-consistency issues requires seeing the interleaving of
 //! region lifecycle events, persist traffic, and stalls around the failure
-//! point. [`Trace`] is a fixed-capacity ring of [`Event`]s the machine can be
-//! asked to record; the newest events — the ones leading up to a crash — are
-//! always retained.
+//! point. [`Trace`] is a fixed-capacity ring over the machine's persist-event
+//! stream ([`crate::event`]); the newest events — the ones leading up to a
+//! crash — are always retained.
 //!
-//! Two consumers read the ring: [`Trace::post_mortem`] renders the greppable
+//! Two renderings read the ring: [`Trace::post_mortem`] renders the greppable
 //! text tail (with an explicit truncation banner when the ring dropped
 //! events), and [`Trace::to_chrome`] converts the whole ring into Chrome
 //! trace-event JSON (cores and memory controllers as named tracks,
 //! region/stall lifetimes as complete spans) for `chrome://tracing` or
 //! Perfetto.
 
-use cwsp_ir::types::{DynRegionId, Word};
+use crate::event::Event;
+use crate::machine::RunEnd;
+use cwsp_ir::types::DynRegionId;
 use cwsp_obs::chrome::{Arg, ChromeTrace};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Why a core stalled (mirrors the `stall_*` counters in
-/// [`crate::stats::SimStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StallKind {
-    /// Persist buffer full.
-    Pb,
-    /// Region boundary table full (or boundary drain without MC speculation).
-    Rbt,
-    /// Write buffer full.
-    Wb,
-    /// Draining at a synchronization point.
-    Sync,
-    /// Load delayed by a pending WPQ entry.
-    Wpq,
-    /// Scheme-specific persistence stall (Capri redo buffer, ReplayCache
-    /// synchronous persist).
-    Scheme,
-}
-
-impl StallKind {
-    /// Short label ("pb", "rbt", ...) used in text output and profiles.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StallKind::Pb => "pb",
-            StallKind::Rbt => "rbt",
-            StallKind::Wb => "wb",
-            StallKind::Sync => "sync",
-            StallKind::Wpq => "wpq",
-            StallKind::Scheme => "scheme",
-        }
-    }
-}
-
-impl fmt::Display for StallKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One traced machine event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A dynamic region was opened on `core`.
-    RegionOpen {
-        cycle: u64,
-        core: usize,
-        region: DynRegionId,
-    },
-    /// A region fully persisted and retired from the RBT head.
-    RegionRetire {
-        cycle: u64,
-        core: usize,
-        region: DynRegionId,
-    },
-    /// A store entered the persist buffer.
-    PersistIssue {
-        cycle: u64,
-        core: usize,
-        region: DynRegionId,
-        addr: Word,
-    },
-    /// A store reached a WPQ (and became persistent).
-    PersistArrive {
-        cycle: u64,
-        mc: usize,
-        region: DynRegionId,
-        addr: Word,
-    },
-    /// An undo-log record was appended at an MC.
-    UndoLogged {
-        cycle: u64,
-        mc: usize,
-        region: DynRegionId,
-        addr: Word,
-    },
-    /// A dirty line entered the write buffer.
-    WbEnqueue { cycle: u64, core: usize, line: Word },
-    /// A completed stall span: the core stalled for `cycles` consecutive
-    /// cycles starting at `cycle`, while `region` (the oldest in-flight
-    /// dynamic region, when one exists) was draining. Recorded when the
-    /// span *ends*, stamped with its start cycle.
-    Stall {
-        cycle: u64,
-        core: usize,
-        kind: StallKind,
-        region: Option<DynRegionId>,
-        cycles: u64,
-    },
-    /// Power failed.
-    PowerFailure { cycle: u64 },
-    /// Recovery began on the crash image (`reverted` undo-log records were
-    /// reversed in §VII step 1). `cycle` continues the crashed run's clock.
-    RecoveryStart { cycle: u64, reverted: u64 },
-    /// Recovery replayed `steps` instructions on `core` (§VII step 2).
-    RecoveryReplay { cycle: u64, core: usize, steps: u64 },
-}
-
-impl Event {
-    /// The cycle the event occurred at (start cycle for stall spans).
-    pub fn cycle(&self) -> u64 {
-        match self {
-            Event::RegionOpen { cycle, .. }
-            | Event::RegionRetire { cycle, .. }
-            | Event::PersistIssue { cycle, .. }
-            | Event::PersistArrive { cycle, .. }
-            | Event::UndoLogged { cycle, .. }
-            | Event::WbEnqueue { cycle, .. }
-            | Event::Stall { cycle, .. }
-            | Event::PowerFailure { cycle }
-            | Event::RecoveryStart { cycle, .. }
-            | Event::RecoveryReplay { cycle, .. } => *cycle,
-        }
-    }
-}
-
+/// The text line(s) of an event, as the post-mortem prints them. A logged
+/// WPQ accept renders as an `undo` line followed by an `arrive` line.
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Event::RegionOpen {
-                cycle,
-                core,
-                region,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} open   {region}")
-            }
-            Event::RegionRetire {
-                cycle,
-                core,
-                region,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} retire {region}")
-            }
-            Event::PersistIssue {
-                cycle,
-                core,
-                region,
-                addr,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} issue  {region} @{addr:#x}")
-            }
-            Event::PersistArrive {
-                cycle,
+        let cycle = self.cycle();
+        write!(f, "[{cycle:>8}] ")?;
+        match *self {
+            Event::RegionOpen { core, region, .. } => write!(f, "core{core} open   {region}"),
+            Event::RegionRetire { core, region, .. } => write!(f, "core{core} retire {region}"),
+            Event::StoreIssue {
+                core, region, addr, ..
+            } => write!(f, "core{core} issue  {region} @{addr:#x}"),
+            Event::WpqAccept {
                 mc,
                 region,
                 addr,
+                logged,
+                ..
             } => {
-                write!(f, "[{cycle:>8}] mc{mc}   arrive {region} @{addr:#x}")
+                if logged {
+                    writeln!(f, "mc{mc}   undo   {region} @{addr:#x}")?;
+                    write!(f, "[{cycle:>8}] ")?;
+                }
+                write!(f, "mc{mc}   arrive {region} @{addr:#x}")
             }
-            Event::UndoLogged {
-                cycle,
-                mc,
-                region,
-                addr,
-            } => {
-                write!(f, "[{cycle:>8}] mc{mc}   undo   {region} @{addr:#x}")
-            }
-            Event::WbEnqueue { cycle, core, line } => {
-                write!(f, "[{cycle:>8}] core{core} wbenq  @{line:#x}")
-            }
+            Event::LineEvict { core, line, .. } => write!(f, "core{core} wbenq  @{line:#x}"),
             Event::Stall {
-                cycle,
                 core,
                 kind,
                 region,
                 cycles,
+                ..
             } => {
-                write!(f, "[{cycle:>8}] core{core} stall  ({kind})")?;
+                write!(f, "core{core} stall  ({kind})")?;
                 if let Some(r) = region {
                     write!(f, " {r}")?;
                 }
                 write!(f, " x{cycles}")
             }
-            Event::PowerFailure { cycle } => write!(f, "[{cycle:>8}] POWER FAILURE"),
-            Event::RecoveryStart { cycle, reverted } => {
-                write!(f, "[{cycle:>8}] RECOVERY start ({reverted} reverted)")
-            }
-            Event::RecoveryReplay { cycle, core, steps } => {
-                write!(f, "[{cycle:>8}] core{core} replay {steps} steps")
-            }
+            Event::RunEnd {
+                end: RunEnd::PowerFailure,
+                ..
+            } => f.write_str("POWER FAILURE"),
+            // Journal-only kinds never enter the ring.
+            _ => write!(f, "{self:?}"),
         }
     }
 }
 
-/// A fixed-capacity ring of machine events (newest kept).
+/// A fixed-capacity ring of machine events (newest kept). Capacity, length
+/// and drop counts are in rendered lines, so a logged WPQ accept counts two
+/// and its `undo` line is evicted before its `arrive` line.
 #[derive(Debug, Clone)]
 pub struct Trace {
     cap: usize,
     events: VecDeque<Event>,
+    lines: usize,
     dropped: u64,
 }
 
 impl Trace {
-    /// A trace retaining at most `cap` events.
+    /// A trace retaining at most `cap` lines.
     pub fn new(cap: usize) -> Self {
         Trace {
             cap: cap.max(1),
             events: VecDeque::with_capacity(cap.min(4096)),
+            lines: 0,
             dropped: 0,
         }
     }
 
-    /// Record an event (evicting the oldest when full).
+    /// Record an event the ring renders (evicting the oldest lines when
+    /// full); journal-only kinds (NVM commits, checkpoints, sync commits,
+    /// run ends other than a power failure) are ignored.
     pub fn record(&mut self, e: Event) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
+        let n = match e {
+            Event::NvmCommit { .. } | Event::Checkpoint { .. } | Event::SyncCommit { .. } => 0,
+            Event::RunEnd { end, .. } => usize::from(end == RunEnd::PowerFailure),
+            Event::WpqAccept { logged, .. } => 1 + usize::from(logged),
+            _ => 1,
+        };
+        if n == 0 {
+            return;
         }
         self.events.push_back(e);
+        self.lines += n;
+        while self.lines > self.cap {
+            match self.events.front_mut() {
+                Some(Event::WpqAccept { logged, .. }) if *logged => *logged = false,
+                _ => {
+                    self.events.pop_front();
+                }
+            }
+            self.lines -= 1;
+            self.dropped += 1;
+        }
     }
 
     /// Events in chronological order.
@@ -233,9 +123,9 @@ impl Trace {
         self.events.iter()
     }
 
-    /// Number of retained events.
+    /// Number of retained lines.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.lines
     }
 
     /// Whether nothing was recorded.
@@ -243,25 +133,28 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Ring capacity in events.
+    /// Ring capacity in lines.
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
-    /// Events evicted due to capacity.
+    /// Lines evicted due to capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// The last `n` events formatted one per line (crash post-mortems).
+    /// The last `n` lines (crash post-mortems).
     pub fn tail(&self, n: usize) -> String {
-        let skip = self.events.len().saturating_sub(n);
-        self.events
-            .iter()
-            .skip(skip)
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut lines: Vec<String> = Vec::new();
+        for e in self.events.iter().rev() {
+            if lines.len() == n {
+                break;
+            }
+            let text = e.to_string();
+            lines.extend(text.rsplit('\n').take(n - lines.len()).map(str::to_owned));
+        }
+        lines.reverse();
+        lines.join("\n")
     }
 
     /// The crash post-mortem: a header stating retention (and, crucially,
@@ -301,98 +194,66 @@ impl Trace {
         }
         let first_cycle = self.events.front().map(|e| e.cycle()).unwrap_or(0);
         let last_cycle = self.events.iter().map(|e| e.cycle()).max().unwrap_or(0);
+        let at = |region: DynRegionId, addr| {
+            vec![
+                ("region".into(), Arg::Str(region.to_string())),
+                ("addr".into(), Arg::Int(addr)),
+            ]
+        };
         // (core, region) -> open cycle, for pairing opens with retires.
         let mut open: Vec<(usize, DynRegionId, u64)> = Vec::new();
         for e in self.events() {
+            let cycle = e.cycle();
             match *e {
-                Event::RegionOpen {
-                    cycle,
-                    core,
-                    region,
-                } => open.push((core, region, cycle)),
-                Event::RegionRetire {
-                    cycle,
-                    core,
-                    region,
-                } => {
+                Event::RegionOpen { core, region, .. } => open.push((core, region, cycle)),
+                Event::RegionRetire { core, region, .. } => {
                     // A retire without a matched open was opened before the
                     // ring's window; start it at the window edge.
                     let start = match open.iter().position(|&(c, r, _)| c == core && r == region) {
                         Some(i) => open.swap_remove(i).2,
                         None => first_cycle.min(cycle),
                     };
+                    let dur = cycle.saturating_sub(start);
                     t.complete(
                         core as u64,
                         "region",
                         &region.to_string(),
                         start,
-                        cycle.saturating_sub(start),
+                        dur,
                         vec![],
                     );
                 }
-                Event::PersistIssue {
-                    cycle,
-                    core,
-                    region,
-                    addr,
-                } => t.instant(
-                    core as u64,
-                    "persist",
-                    "pb-issue",
-                    cycle,
-                    vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
-                    ],
-                ),
-                Event::PersistArrive {
-                    cycle,
+                Event::StoreIssue {
+                    core, region, addr, ..
+                } => t.instant(core as u64, "persist", "pb-issue", cycle, at(region, addr)),
+                Event::WpqAccept {
                     mc,
                     region,
                     addr,
-                } => t.instant(
-                    MC_TID + mc as u64,
-                    "persist",
-                    "wpq-arrive",
-                    cycle,
-                    vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
-                    ],
-                ),
-                Event::UndoLogged {
-                    cycle,
-                    mc,
-                    region,
-                    addr,
-                } => t.instant(
-                    MC_TID + mc as u64,
-                    "log",
-                    "undo-append",
-                    cycle,
-                    vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
-                    ],
-                ),
-                Event::WbEnqueue { cycle, core, line } => t.instant(
-                    core as u64,
-                    "wb",
-                    "wb-enqueue",
-                    cycle,
-                    vec![("line".into(), Arg::Int(line))],
-                ),
+                    logged,
+                    ..
+                } => {
+                    let tid = MC_TID + mc as u64;
+                    if logged {
+                        t.instant(tid, "log", "undo-append", cycle, at(region, addr));
+                    }
+                    t.instant(tid, "persist", "wpq-arrive", cycle, at(region, addr));
+                }
+                Event::LineEvict { core, line, .. } => {
+                    let args = vec![("line".into(), Arg::Int(line))];
+                    t.instant(core as u64, "wb", "wb-enqueue", cycle, args);
+                }
                 Event::Stall {
-                    cycle,
                     core,
                     kind,
                     region,
                     cycles,
+                    ..
                 } => {
-                    let mut args = Vec::new();
-                    if let Some(r) = region {
-                        args.push(("region".into(), Arg::Str(r.to_string())));
-                    }
+                    let args = region
+                        .map(|r| ("region".into(), Arg::Str(r.to_string())))
+                        .into_iter()
+                        .collect();
                     t.complete(
                         core as u64,
                         "stall",
@@ -402,23 +263,11 @@ impl Trace {
                         args,
                     );
                 }
-                Event::PowerFailure { cycle } => {
-                    t.instant(0, "power", "POWER FAILURE", cycle, vec![])
-                }
-                Event::RecoveryStart { cycle, reverted } => t.instant(
-                    0,
-                    "recovery",
-                    "recovery-start",
-                    cycle,
-                    vec![("reverted".into(), Arg::Int(reverted))],
-                ),
-                Event::RecoveryReplay { cycle, core, steps } => t.instant(
-                    core as u64,
-                    "recovery",
-                    "recovery-replay",
-                    cycle,
-                    vec![("steps".into(), Arg::Int(steps))],
-                ),
+                Event::RunEnd {
+                    end: RunEnd::PowerFailure,
+                    ..
+                } => t.instant(0, "power", "POWER FAILURE", cycle, vec![]),
+                _ => {} // journal-only kinds never enter the ring
             }
         }
         // Regions still in flight at the end of the window: truncated spans.
@@ -439,12 +288,20 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::StallKind;
+
+    fn power(cycle: u64) -> Event {
+        Event::RunEnd {
+            cycle,
+            end: RunEnd::PowerFailure,
+        }
+    }
 
     #[test]
     fn ring_keeps_newest() {
         let mut t = Trace::new(3);
         for c in 0..5 {
-            t.record(Event::PowerFailure { cycle: c });
+            t.record(power(c));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -454,11 +311,13 @@ mod tests {
 
     #[test]
     fn display_formats_are_greppable() {
-        let e = Event::PersistArrive {
+        let e = Event::WpqAccept {
             cycle: 42,
+            core: 0,
             mc: 1,
             region: DynRegionId(7),
             addr: 0x1000,
+            logged: false,
         };
         let s = e.to_string();
         assert!(
@@ -515,7 +374,7 @@ mod tests {
         let mut t = Trace::new(2);
         assert!(!t.post_mortem(4).contains("TRUNCATED"));
         for c in 0..5 {
-            t.record(Event::PowerFailure { cycle: c });
+            t.record(power(c));
         }
         let pm = t.post_mortem(4);
         assert!(pm.contains("2 events retained (ring capacity 2)"), "{pm}");
@@ -531,7 +390,7 @@ mod tests {
         let mut t = Trace::new(cap);
         let recorded = cap as u64 * 13 + 5; // several full wraps + a partial
         for c in 0..recorded {
-            t.record(Event::PowerFailure { cycle: c });
+            t.record(power(c));
         }
         assert_eq!(t.len(), cap);
         assert_eq!(t.dropped(), recorded - cap as u64);
@@ -607,17 +466,20 @@ mod tests {
             core: 0,
             region: DynRegionId(1),
         });
-        t.record(Event::PersistIssue {
+        t.record(Event::StoreIssue {
             cycle: 12,
             core: 0,
+            func: None,
             region: DynRegionId(1),
             addr: 0x40,
         });
-        t.record(Event::PersistArrive {
+        t.record(Event::WpqAccept {
             cycle: 30,
+            core: 0,
             mc: 1,
             region: DynRegionId(1),
             addr: 0x40,
+            logged: false,
         });
         t.record(Event::Stall {
             cycle: 31,
@@ -659,5 +521,47 @@ mod tests {
         });
         let ct2 = t2.to_chrome(1, 1);
         assert_eq!(ct2.complete_spans_on(0), 1);
+    }
+
+    #[test]
+    fn logged_accept_is_an_undo_line_then_an_arrive_line() {
+        let accept = |cycle, logged| Event::WpqAccept {
+            cycle,
+            core: 0,
+            mc: 0,
+            region: DynRegionId(2),
+            addr: 0x8,
+            logged,
+        };
+        let mut t = Trace::new(3);
+        t.record(power(1));
+        t.record(accept(2, true));
+        assert_eq!((t.len(), t.dropped()), (3, 0));
+        let tail = t.tail(2);
+        assert!(tail.starts_with("[       2] mc0   undo   dyn2"), "{tail}");
+        assert!(
+            tail.ends_with("[       2] mc0   arrive dyn2 @0x8"),
+            "{tail}"
+        );
+        // Journal-only kinds never enter the ring.
+        t.record(Event::SyncCommit {
+            cycle: 3,
+            core: 0,
+            region: None,
+        });
+        assert_eq!(t.len(), 3);
+        // Two more lines evict the power failure, then the undo line: the
+        // accept survives as its arrive line alone.
+        t.record(accept(4, false));
+        t.record(power(5));
+        assert_eq!((t.len(), t.dropped()), (3, 2));
+        assert_eq!(t.events().next(), Some(&accept(2, false)));
+        assert_eq!(t.tail(1), "[       5] POWER FAILURE");
+        let pm = t.post_mortem(3);
+        assert!(
+            pm.contains("3 events retained (ring capacity 3) — TRUNCATED, 2"),
+            "{pm}"
+        );
+        assert_eq!(pm.lines().count(), 4, "{pm}");
     }
 }

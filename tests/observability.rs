@@ -24,15 +24,21 @@ fn tracing_and_profiling_do_not_perturb_results() {
         let cfg = SimConfig::default();
         let mut plain = Machine::new(&m, &cfg, Scheme::cwsp());
         let r_plain = plain.run(u64::MAX, None).unwrap();
-        let mut observed = Machine::new(&m, &cfg, Scheme::cwsp());
-        observed.enable_trace(4096);
-        observed.enable_profiler();
-        let r_obs = observed.run(u64::MAX, None).unwrap();
-        assert_eq!(
-            r_plain.stats, r_obs.stats,
-            "{name}: observation changed the run"
-        );
-        assert_eq!(r_plain.end, r_obs.end, "{name}");
+        // Trace-only runs the fast path (fused bursts, idle skip) with the
+        // ring attached; traced and profiled runs the per-cycle path.
+        for profiled in [false, true] {
+            let mut observed = Machine::new(&m, &cfg, Scheme::cwsp());
+            observed.enable_trace(4096);
+            if profiled {
+                observed.enable_profiler();
+            }
+            let r_obs = observed.run(u64::MAX, None).unwrap();
+            assert_eq!(
+                r_plain.stats, r_obs.stats,
+                "{name} (profiled: {profiled}): observation changed the run"
+            );
+            assert_eq!(r_plain.end, r_obs.end, "{name}");
+        }
     }
 }
 

@@ -80,8 +80,14 @@ fn invariant_checker_rejects_corrupted_stats() {
 /// — on completed runs and at power-failure cuts alike. Besides an early
 /// cut at cycle 1 000, the cuts sit at ⅓ and ⅔ of each run's fault-free
 /// cycle count, so every module and scheme exercises the cut path.
+///
+/// Both machines carry a trace ring and a flight journal, so the fast path
+/// here issues its fused bursts with both consumers of the persist-event
+/// stream attached; the ring's post-mortem, its Chrome JSON and the journal
+/// must match the profiled reference too.
 #[test]
 fn fast_path_and_profiled_machines_report_identical_stats() {
+    const RING: usize = 1 << 16;
     for seed in [7, 21, 63] {
         let m = generate_default(seed);
         let compiled = CwspCompiler::new(CompileOptions::default()).compile(&m);
@@ -94,17 +100,27 @@ fn fast_path_and_profiled_machines_report_identical_stats() {
         ] {
             let check = |crash: Option<u64>| {
                 let label = format!("gen-{seed}/{}/crash={crash:?}", scheme.name());
-                let mut fast = Machine::new(&compiled.module, &cfg, scheme);
-                let rf = fast
-                    .run(u64::MAX, crash)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let mut profiled = Machine::new(&compiled.module, &cfg, scheme);
-                profiled.enable_profiler();
-                let rp = profiled
-                    .run(u64::MAX, crash)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let observed = |profiled: bool| {
+                    let mut m = Machine::new(&compiled.module, &cfg, scheme);
+                    if profiled {
+                        m.enable_profiler();
+                    }
+                    m.enable_trace(RING);
+                    m.enable_flight().expect("journal opens");
+                    let r = m
+                        .run(u64::MAX, crash)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let ring = m.trace().expect("ring attached").post_mortem(RING);
+                    let chrome = m.chrome_trace().expect("ring attached").to_json();
+                    (r, ring, chrome, m.flight_records())
+                };
+                let (rf, ring_f, chrome_f, journal_f) = observed(false);
+                let (rp, ring_p, chrome_p, journal_p) = observed(true);
                 assert_eq!(rf.end, rp.end, "{label}");
                 assert_eq!(rf.stats, rp.stats, "{label}");
+                assert!(ring_f == ring_p, "{label}: ring post-mortems differ");
+                assert!(chrome_f == chrome_p, "{label}: Chrome traces differ");
+                assert!(journal_f == journal_p, "{label}: journals differ");
                 if let Err(msg) = rf.stats.check_invariants(cfg.cores as u64) {
                     panic!("{label}:\n{msg}");
                 }
