@@ -14,12 +14,12 @@
 //!   def-site checkpoint of a leaf would overwrite the slot the expression
 //!   reads at recovery (**I3**).
 
-use crate::consts::{CVal, ConstProp};
+use crate::consts::CVal;
 use crate::diag::{Diagnostic, Invariant, Location, Severity};
+use crate::facts::FnFacts;
 use crate::sync::SlotSync;
 use cwsp_compiler::liveness::Liveness;
 use cwsp_compiler::slice::{RsSource, SliceTable};
-use cwsp_ir::cfg;
 use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::types::{Reg, RegionId};
@@ -51,13 +51,15 @@ fn diag(
 }
 
 /// Registers checkpointed anywhere inside the region fragment rooted just
-/// after the boundary at `(b, idx)`: straight-line walk that stops at the
-/// next boundary/call/terminator and follows branches into blocks that do
-/// not begin a new region.
-fn region_ckpt_regs(f: &Function, b: BlockId, idx: usize) -> Vec<Reg> {
-    let mut regs = Vec::new();
-    let mut visited = vec![false; f.blocks.len()];
-    let mut work: Vec<(BlockId, usize)> = vec![(b, idx + 1)];
+/// after the boundary at `(b, idx)`, into `regs`: straight-line walk that
+/// stops at the next boundary/call/terminator and follows branches into
+/// blocks that do not begin a new region. `walk` is scratch.
+fn region_ckpt_regs(f: &Function, b: BlockId, idx: usize, walk: &mut Walk, regs: &mut Vec<Reg>) {
+    regs.clear();
+    let Walk { visited, work } = walk;
+    visited.clear();
+    visited.resize(f.blocks.len(), false);
+    work.push((b, idx + 1));
     while let Some((blk, start)) = work.pop() {
         let insts = &f.block(blk).insts;
         let mut i = start;
@@ -88,7 +90,13 @@ fn region_ckpt_regs(f: &Function, b: BlockId, idx: usize) -> Vec<Reg> {
             i += 1;
         }
     }
-    regs
+}
+
+/// Scratch for [`region_ckpt_regs`], reused across a function's boundaries.
+#[derive(Default)]
+struct Walk {
+    visited: Vec<bool>,
+    work: Vec<(BlockId, usize)>,
 }
 
 fn starts_with_boundary(f: &Function, b: BlockId) -> bool {
@@ -97,22 +105,26 @@ fn starts_with_boundary(f: &Function, b: BlockId) -> bool {
 
 /// Check I2/I3 at every boundary of `f`, appending findings to `out`.
 pub fn check_function(f: &Function, slices: &SliceTable, out: &mut Vec<Diagnostic>) {
-    let rpo = cfg::reverse_post_order(f);
-    let mut reachable = vec![false; f.blocks.len()];
-    for &b in &rpo {
-        reachable[b.index()] = true;
-    }
-    let live = Liveness::compute(f);
-    let sync = SlotSync::compute(f);
-    let consts = ConstProp::compute(f);
+    check(f, slices, &FnFacts::compute(f), out);
+}
 
-    for &b in &rpo {
-        if !reachable[b.index()] {
-            continue;
-        }
+/// [`check_function`] over facts the caller already holds.
+pub(crate) fn check(
+    f: &Function,
+    slices: &SliceTable,
+    facts: &FnFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let live = Liveness::compute(f);
+    let sync = SlotSync::compute(f, &facts.rpo);
+    let consts = facts.consts();
+    let (mut leaves, mut in_region) = (Vec::new(), Vec::new());
+    let mut walk = Walk::default();
+    let mut live_across = Vec::new();
+
+    for &b in &facts.rpo {
         // Registers live across each boundary of the block, in program
         // order, from one backward sweep.
-        let mut live_across = Vec::new();
         live.walk_back(f, b, |_, inst, l| {
             if matches!(inst, Inst::Boundary { .. }) {
                 live_across.push(l.clone());
@@ -181,7 +193,7 @@ pub fn check_function(f: &Function, slices: &SliceTable, out: &mut Vec<Diagnosti
                                     "region {id} restores {r} from its slot, but the slot may be stale at the boundary"
                                 ),
                             );
-                            d.witness = Some(sync.witness_unsynced(f, b, i, *r));
+                            d.witness = Some(sync.witness_unsynced(f, facts.preds(), b, i, *r));
                             out.push(d);
                         }
                     }
@@ -217,12 +229,12 @@ pub fn check_function(f: &Function, slices: &SliceTable, out: &mut Vec<Diagnosti
                         }
                     },
                     RsSource::Expr(e) => {
-                        let mut leaves = Vec::new();
+                        leaves.clear();
                         e.slot_leaves(&mut leaves);
                         leaves.sort_unstable();
                         leaves.dedup();
-                        let in_region = region_ckpt_regs(f, b, i);
-                        for leaf in leaves {
+                        region_ckpt_regs(f, b, i, &mut walk, &mut in_region);
+                        for &leaf in &leaves {
                             if !synced.as_ref().is_some_and(|s| s.contains(leaf)) {
                                 let mut d = diag(
                                     f,
@@ -236,7 +248,8 @@ pub fn check_function(f: &Function, slices: &SliceTable, out: &mut Vec<Diagnosti
                                         "region {id} rematerializes {r} from {leaf}'s slot, which may be stale at the boundary"
                                     ),
                                 );
-                                d.witness = Some(sync.witness_unsynced(f, b, i, leaf));
+                                d.witness =
+                                    Some(sync.witness_unsynced(f, facts.preds(), b, i, leaf));
                                 out.push(d);
                             }
                             if in_region.contains(&leaf) {

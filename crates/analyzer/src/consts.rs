@@ -16,6 +16,7 @@ use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::{Inst, Operand};
 use cwsp_ir::layout;
 use cwsp_ir::types::{Reg, Word};
+use std::cell::RefCell;
 
 /// Abstract register value on the flat constant lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +37,27 @@ impl CVal {
 }
 
 /// Per-function constant-propagation result: abstract register state at each
-/// block entry (`None` = block unreachable, the lattice ⊤).
+/// block entry, for the blocks reachable from the function entry.
 #[derive(Debug, Clone)]
 pub struct ConstProp {
-    block_in: Vec<Option<Vec<CVal>>>,
+    nregs: usize,
+    /// `nregs` values per block, block after block; meaningful only for the
+    /// blocks marked in `reached`.
+    block_in: Vec<CVal>,
+    /// Blocks some path from the entry reaches (the others are ⊤).
+    reached: Vec<bool>,
+    /// The state [`ConstProp::value_before`] computed last, so that queries
+    /// walking a block forward cost one transfer per instruction in all.
+    cursor: RefCell<Cursor>,
+}
+
+/// A state inside one block: the registers before instruction `idx` of
+/// `block` (`usize::MAX` when the cursor holds no state yet).
+#[derive(Debug, Clone)]
+struct Cursor {
+    block: usize,
+    idx: usize,
+    state: Vec<CVal>,
 }
 
 fn eval_operand(state: &[CVal], op: Operand) -> CVal {
@@ -89,61 +107,85 @@ fn transfer(state: &mut [CVal], inst: &Inst) {
 }
 
 impl ConstProp {
-    /// Run the analysis to fixpoint on `f`.
-    pub fn compute(f: &Function) -> Self {
+    /// Run the analysis to fixpoint on `f`, visiting blocks in `rpo`, the
+    /// function's reverse post-order.
+    pub fn compute(f: &Function, rpo: &[BlockId]) -> Self {
         let nregs = f.reg_count as usize;
-        let entry_state: Vec<CVal> = (0..nregs)
-            .map(|r| {
-                if (r as u32) < f.param_count {
-                    CVal::Unknown
-                } else {
-                    CVal::Const(0)
-                }
-            })
-            .collect();
-        let mut block_in: Vec<Option<Vec<CVal>>> = vec![None; f.blocks.len()];
-        block_in[f.entry().index()] = Some(entry_state);
+        let nblocks = f.blocks.len();
+        let mut block_in = vec![CVal::Unknown; nblocks * nregs];
+        let mut reached = vec![false; nblocks];
+        let entry = f.entry().index();
+        for (r, v) in block_in[entry * nregs..][..nregs].iter_mut().enumerate() {
+            if r as u32 >= f.param_count {
+                *v = CVal::Const(0);
+            }
+        }
+        reached[entry] = true;
 
-        let rpo = cfg::reverse_post_order(f);
+        let mut state = Vec::with_capacity(nregs);
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &rpo {
-                let Some(mut state) = block_in[b.index()].clone() else {
+            for &b in rpo {
+                if !reached[b.index()] {
                     continue;
-                };
+                }
+                state.clear();
+                state.extend_from_slice(&block_in[b.index() * nregs..][..nregs]);
                 for inst in &f.block(b).insts {
                     transfer(&mut state, inst);
                 }
                 for s in cfg::successors(f, b) {
-                    match &mut block_in[s.index()] {
-                        cur @ None => {
-                            *cur = Some(state.clone());
+                    let cur = &mut block_in[s.index() * nregs..][..nregs];
+                    if !reached[s.index()] {
+                        reached[s.index()] = true;
+                        cur.copy_from_slice(&state);
+                        changed = true;
+                        continue;
+                    }
+                    for (c, n) in cur.iter_mut().zip(&state) {
+                        let met = c.meet(*n);
+                        if met != *c {
+                            *c = met;
                             changed = true;
-                        }
-                        Some(cur) => {
-                            for (c, n) in cur.iter_mut().zip(&state) {
-                                let met = c.meet(*n);
-                                if met != *c {
-                                    *c = met;
-                                    changed = true;
-                                }
-                            }
                         }
                     }
                 }
             }
         }
-        ConstProp { block_in }
+        ConstProp {
+            nregs,
+            block_in,
+            reached,
+            cursor: RefCell::new(Cursor {
+                block: usize::MAX,
+                idx: 0,
+                state,
+            }),
+        }
     }
 
     /// Abstract value of `r` immediately before instruction `idx` of block
     /// `b`; `None` when the block is unreachable.
     pub fn value_before(&self, f: &Function, b: BlockId, idx: usize, r: Reg) -> Option<CVal> {
-        let mut state = self.block_in[b.index()].clone()?;
-        for inst in f.block(b).insts.iter().take(idx) {
-            transfer(&mut state, inst);
+        if !self.reached[b.index()] {
+            return None;
         }
+        let mut cur = self.cursor.borrow_mut();
+        let Cursor {
+            block,
+            idx: at,
+            state,
+        } = &mut *cur;
+        if *block != b.index() || *at > idx {
+            state.clear();
+            state.extend_from_slice(&self.block_in[b.index() * self.nregs..][..self.nregs]);
+            (*block, *at) = (b.index(), 0);
+        }
+        for inst in f.block(b).insts.iter().take(idx).skip(*at) {
+            transfer(state, inst);
+        }
+        *at = (*at).max(idx.min(f.block(b).insts.len()));
         Some(state.get(r.index()).copied().unwrap_or(CVal::Unknown))
     }
 }
@@ -154,6 +196,10 @@ mod tests {
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::{BinOp, MemRef};
 
+    fn analyze(f: &Function) -> ConstProp {
+        ConstProp::compute(f, &cfg::reverse_post_order(f))
+    }
+
     #[test]
     fn folds_straight_line_constants() {
         let mut b = FunctionBuilder::new("f", 0);
@@ -162,7 +208,7 @@ mod tests {
         let r1 = b.bin(e, BinOp::Mul, r0.into(), Operand::imm(3));
         b.push(e, Inst::Halt);
         let f = b.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, e, 2, r1), Some(CVal::Const(30)));
         assert_eq!(cp.value_before(&f, e, 0, r0), Some(CVal::Const(0)));
     }
@@ -174,7 +220,7 @@ mod tests {
         let extra = b.vreg();
         b.push(e, Inst::Halt);
         let f = b.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, e, 0, Reg(0)), Some(CVal::Unknown));
         assert_eq!(cp.value_before(&f, e, 0, Reg(1)), Some(CVal::Unknown));
         assert_eq!(cp.value_before(&f, e, 0, extra), Some(CVal::Const(0)));
@@ -188,7 +234,7 @@ mod tests {
         b.push(e, Inst::load(r0, MemRef::abs(64)));
         b.push(e, Inst::Halt);
         let f = b.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, e, 1, r0), Some(CVal::Unknown));
     }
 
@@ -227,7 +273,7 @@ mod tests {
         bld.push(b2, Inst::Br { target: join });
         bld.push(join, Inst::Halt);
         let f = bld.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, join, 0, r1), Some(CVal::Unknown));
     }
 
@@ -259,7 +305,7 @@ mod tests {
         }
         bld.push(join, Inst::Halt);
         let f = bld.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, join, 0, r1), Some(CVal::Const(7)));
     }
 
@@ -271,7 +317,7 @@ mod tests {
         bld.push(e, Inst::Halt);
         bld.push(dead, Inst::Halt);
         let f = bld.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, dead, 0, Reg(0)), None);
     }
 
@@ -282,7 +328,35 @@ mod tests {
         let r0 = b.mov(e, Operand::imm(layout::GLOBAL_TAG | 8));
         b.push(e, Inst::Halt);
         let f = b.build();
-        let cp = ConstProp::compute(&f);
+        let cp = analyze(&f);
         assert_eq!(cp.value_before(&f, e, 1, r0), Some(CVal::Unknown));
+    }
+
+    /// Queries in any order — forward, backward, across blocks, past a
+    /// block's end — agree with a fresh analysis answering each alone.
+    #[test]
+    fn queries_in_any_order_match_fresh_answers() {
+        let m = cwsp_core::genprog::generate(&Default::default(), 3);
+        for (_, f) in m.iter_functions() {
+            let shared = analyze(f);
+            let mut points = Vec::new();
+            for (b, block) in f.iter_blocks() {
+                for idx in 0..=block.insts.len() + 1 {
+                    points.push((b, idx));
+                }
+            }
+            let (fwd, back) = points.split_at(points.len() / 2);
+            let order = fwd.iter().chain(back.iter().rev()).chain(fwd.iter().rev());
+            for &(b, idx) in order {
+                for r in (0..f.reg_count).map(Reg) {
+                    assert_eq!(
+                        shared.value_before(f, b, idx, r),
+                        analyze(f).value_before(f, b, idx, r),
+                        "{} {b}[{idx}] {r}",
+                        f.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -29,7 +29,7 @@ use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
 use cwsp_ir::pretty::fmt_inst;
-use cwsp_ir::types::{Reg, RegionId};
+use cwsp_ir::types::RegionId;
 use std::collections::{HashMap, HashSet};
 
 /// Summary of the idempotence pass over one function.
@@ -41,25 +41,32 @@ pub struct IdemSummary {
     pub clean_roots: usize,
 }
 
-#[derive(Clone)]
-struct PathCtx<'m> {
+/// Marks a register with no use yet on the current path.
+const UNUSED: u32 = u32::MAX;
+
+/// A path of a region's DFS waiting to be walked from `pos`. Its trace and
+/// loads are the first `trace_len` and `loads_len` entries of the walk's
+/// shared buffers: a path is resumed only after every path forked after it
+/// has finished, and those only appended past its prefixes.
+struct Fork<'m> {
     pos: (BlockId, usize),
     st: PathState<'m>,
-    /// `(address, path position of the load)` for every load on this path.
-    loads: Vec<(AbstractAddr, usize)>,
-    /// Last use position of each register on this path.
-    last_use: HashMap<Reg, usize>,
-    /// The concrete trace: `(block, idx, rendered instruction)`.
-    trace: Vec<(u32, usize, String)>,
+    /// Last use position of each register on this path, by register index
+    /// (`UNUSED` when none).
+    last_use: Vec<u32>,
+    trace_len: usize,
+    loads_len: usize,
 }
 
-fn witness_from(trace: &[(u32, usize, String)], from: usize) -> PathWitness {
+/// The witness of a finding: the path from position `from` to its end,
+/// each step rendered from the instruction it names.
+fn witness_from(f: &Function, trace: &[(BlockId, usize)], from: usize) -> PathWitness {
     let steps: Vec<WitnessStep> = trace[from..]
         .iter()
-        .map(|(b, i, note)| WitnessStep {
-            block: *b,
-            idx: *i,
-            note: note.clone(),
+        .map(|&(b, i)| WitnessStep {
+            block: b.0,
+            idx: i,
+            note: fmt_inst(&f.block(b).insts[i]),
         })
         .collect();
     PathWitness::elided(steps, 14)
@@ -86,39 +93,62 @@ pub fn check_function(
     let mut summary = IdemSummary::default();
     // Dedup key: one finding per (code, store location) per function.
     let mut reported: HashSet<(&'static str, u32, usize)> = HashSet::new();
+    // Buffers shared by every path of every root: the path walked so far as
+    // `(block, idx)`, and `(address, path position)` of each of its loads.
+    let mut trace: Vec<(BlockId, usize)> = Vec::new();
+    let mut loads: Vec<(AbstractAddr, usize)> = Vec::new();
+    let mut visited = vec![false; f.blocks.len()];
+    let mut stack: Vec<Fork<'_>> = Vec::new();
+    // Path states and use tables of finished paths, reused by later forks.
+    let mut spare: Vec<(PathState<'_>, Vec<u32>)> = Vec::new();
 
     for root in roots {
         summary.roots += 1;
         let region = region_of_root.get(&(root.0 .0, root.1)).copied();
         let errors_before = out.len();
-        let mut visited = vec![false; f.blocks.len()];
-        let mut stack: Vec<PathCtx<'_>> = vec![PathCtx {
+        visited.fill(false);
+        let (mut st, mut last_use) = spare
+            .pop()
+            .unwrap_or_else(|| (PathState::new(module), Vec::new()));
+        st.reset();
+        last_use.clear();
+        last_use.resize(f.reg_count as usize, UNUSED);
+        stack.push(Fork {
             pos: root,
-            st: PathState::new(module),
-            loads: Vec::new(),
-            last_use: HashMap::new(),
-            trace: Vec::new(),
-        }];
+            st,
+            last_use,
+            trace_len: 0,
+            loads_len: 0,
+        });
 
-        while let Some(mut ctx) = stack.pop() {
+        while let Some(fork) = stack.pop() {
+            let Fork {
+                mut pos,
+                mut st,
+                mut last_use,
+                trace_len,
+                loads_len,
+            } = fork;
+            trace.truncate(trace_len);
+            loads.truncate(loads_len);
             'path: loop {
-                let (b, idx) = ctx.pos;
+                let (b, idx) = pos;
                 let insts = &f.block(b).insts;
                 let Some(inst) = insts.get(idx) else {
                     break 'path; // fell off a (malformed) block
                 };
-                let p = ctx.trace.len();
-                ctx.trace.push((b.0, idx, fmt_inst(inst)));
+                let p = trace.len();
+                trace.push(pos);
 
                 // --- memory WAR ---
                 match inst {
                     Inst::Load { addr, .. } => {
-                        let a = ctx.st.addr_of(addr);
-                        ctx.loads.push((a, p));
+                        let a = st.addr_of(addr);
+                        loads.push((a, p));
                     }
                     Inst::Store { addr, .. } => {
-                        let a = ctx.st.addr_of(addr);
-                        if let Some(&(_, lp)) = ctx.loads.iter().find(|(la, _)| may_alias(*la, a)) {
+                        let a = st.addr_of(addr);
+                        if let Some(&(_, lp)) = loads.iter().find(|(la, _)| may_alias(*la, a)) {
                             if reported.insert(("I1-mem-war", b.0, idx)) {
                                 out.push(Diagnostic {
                                     severity: Severity::Error,
@@ -134,7 +164,7 @@ pub fn check_function(
                                         inst: Some(idx),
                                     },
                                     region: region.map(|r| r.0),
-                                    witness: Some(witness_from(&ctx.trace, lp)),
+                                    witness: Some(witness_from(f, &trace, lp)),
                                 });
                             }
                         }
@@ -157,7 +187,8 @@ pub fn check_function(
                             // when it is the region's first instruction.
                             (p > 0).then_some(p)
                         } else {
-                            ctx.last_use.get(&d).copied()
+                            let up = last_use[d.index()];
+                            (up != UNUSED).then_some(up as usize)
                         };
                         if let Some(up) = hazard_at {
                             if reported.insert(("I1-reg-war", b.0, idx)) {
@@ -175,13 +206,13 @@ pub fn check_function(
                                         inst: Some(idx),
                                     },
                                     region: region.map(|r| r.0),
-                                    witness: Some(witness_from(&ctx.trace, up)),
+                                    witness: Some(witness_from(f, &trace, up)),
                                 });
                             }
                         }
                     }
                     for u in inst.uses() {
-                        ctx.last_use.insert(u, p);
+                        last_use[u.index()] = p as u32;
                     }
                 }
 
@@ -195,13 +226,13 @@ pub fn check_function(
                             break 'path;
                         }
                         visited[target.index()] = true;
-                        ctx.st.transfer(inst);
-                        ctx.pos = (*target, 0);
+                        st.transfer(inst);
+                        pos = (*target, 0);
                     }
                     Inst::CondBr {
                         if_true, if_false, ..
                     } => {
-                        ctx.st.transfer(inst);
+                        st.transfer(inst);
                         let mut continued = false;
                         for t in [*if_true, *if_false] {
                             if at_boundary_entry(f, t) || visited[t.index()] {
@@ -209,11 +240,20 @@ pub fn check_function(
                             }
                             visited[t.index()] = true;
                             if continued {
-                                let mut fork = ctx.clone();
-                                fork.pos = (t, 0);
-                                stack.push(fork);
+                                let (mut fork_st, mut fork_use) = spare
+                                    .pop()
+                                    .unwrap_or_else(|| (PathState::new(module), Vec::new()));
+                                fork_st.clone_from(&st);
+                                fork_use.clone_from(&last_use);
+                                stack.push(Fork {
+                                    pos: (t, 0),
+                                    st: fork_st,
+                                    last_use: fork_use,
+                                    trace_len: trace.len(),
+                                    loads_len: loads.len(),
+                                });
                             } else {
-                                ctx.pos = (t, 0);
+                                pos = (t, 0);
                                 continued = true;
                             }
                         }
@@ -222,11 +262,12 @@ pub fn check_function(
                         }
                     }
                     _ => {
-                        ctx.st.transfer(inst);
-                        ctx.pos = (b, idx + 1);
+                        st.transfer(inst);
+                        pos = (b, idx + 1);
                     }
                 }
             }
+            spare.push((st, last_use));
         }
 
         if out.len() == errors_before {
@@ -261,6 +302,7 @@ mod tests {
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::{BinOp, MemRef, Operand};
     use cwsp_ir::layout::GLOBAL_BASE;
+    use cwsp_ir::types::Reg;
 
     fn run(f: &Function) -> (Vec<Diagnostic>, IdemSummary) {
         let m = Module::new("t");

@@ -46,12 +46,13 @@
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Report};
+use crate::facts::ModuleFacts;
 use crate::summaries::{body_summary, FuncSummary, Summaries};
 use cwsp_compiler::slice::SliceTable;
 use cwsp_ir::function::Function;
 use cwsp_ir::fxhash::{FxHashMap, FxHasher};
 use cwsp_ir::inst::Inst;
-use cwsp_ir::module::Module;
+use cwsp_ir::module::{FuncId, Module};
 use cwsp_obs::sink::{NullSink, ObsSink};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -300,8 +301,14 @@ impl AnalysisCache {
     }
 
     /// Body summary of `fid`, served from cache by body fingerprint.
-    fn body_summary(&mut self, module: &Module, ctx: u64, f: &Function) -> FuncSummary {
-        let fp = body_fp(ctx, f);
+    fn body_summary(
+        &mut self,
+        module: &Module,
+        ctx: u64,
+        fid: FuncId,
+        facts: &ModuleFacts<'_>,
+    ) -> FuncSummary {
+        let fp = body_fp(ctx, module.function(fid));
         let stamp = self.cur;
         match self.bodies.entry(fp) {
             Entry::Occupied(mut e) => {
@@ -310,7 +317,7 @@ impl AnalysisCache {
                 e.get().sum.clone()
             }
             Entry::Vacant(v) => {
-                let sum = body_summary(module, f);
+                let sum = body_summary(module, fid, facts);
                 v.insert(BodyEntry {
                     sum: sum.clone(),
                     stamp,
@@ -380,6 +387,18 @@ pub fn analyze_incremental_observed(
     cache: &mut AnalysisCache,
     sink: &mut dyn ObsSink,
 ) -> Report {
+    analyze_incremental_in(module, slices, cache, sink, &ModuleFacts::new(module))
+}
+
+/// [`analyze_incremental_observed`] over the per-function facts of one
+/// analysis.
+pub(crate) fn analyze_incremental_in(
+    module: &Module,
+    slices: &SliceTable,
+    cache: &mut AnalysisCache,
+    sink: &mut dyn ObsSink,
+    facts: &ModuleFacts<'_>,
+) -> Report {
     let t0 = Instant::now();
     let stats0 = cache.stats;
     cache.begin_run(&module.name);
@@ -391,7 +410,7 @@ pub fn analyze_incremental_observed(
     crate::check_module_level(module, &mut report);
 
     let ctx = ctx_digest(module);
-    for (_, f) in module.iter_functions() {
+    for (fid, f) in module.iter_functions() {
         report.counters.functions += 1;
         let fp = diag_fp(ctx, f, slices);
         let stamp = cache.cur;
@@ -402,7 +421,8 @@ pub fn analyze_incremental_observed(
             cache.stats.hits += 1;
         } else {
             let start = report.diagnostics.len();
-            crate::analyze_function(module, f, slices, &mut report.diagnostics, sink, t0);
+            let out = &mut report.diagnostics;
+            crate::analyze_function(module, fid, facts, slices, out, sink, t0);
             let diags = report.diagnostics[start..].to_vec();
             cache.diags.insert(fp, DiagEntry { diags, stamp });
             restamp(&mut cache.modules, fp, None, stamp);
@@ -466,6 +486,7 @@ pub(crate) fn summaries_incremental(
     module: &Module,
     cg: &CallGraph,
     cache: &mut AnalysisCache,
+    facts: &ModuleFacts<'_>,
 ) -> Summaries {
     let n = module.function_count();
     let ctx = ctx_digest(module);
@@ -520,7 +541,7 @@ pub(crate) fn summaries_incremental(
         // same callee-absorption fixed point `Summaries::compute` runs.
         for &fid in scc {
             if fid.index() < n {
-                by_func[fid.index()] = cache.body_summary(module, ctx, module.function(fid));
+                by_func[fid.index()] = cache.body_summary(module, ctx, fid, facts);
             }
         }
         loop {
@@ -735,7 +756,7 @@ mod tests {
         let full = Summaries::compute(&m, &cg);
         let mut cache = AnalysisCache::new();
         cache.begin_run("incr-demo");
-        let inc = summaries_incremental(&m, &cg, &mut cache);
+        let inc = summaries_incremental(&m, &cg, &mut cache, &ModuleFacts::new(&m));
         for (fid, _) in m.iter_functions() {
             assert_eq!(full.get(fid), inc.get(fid));
         }
@@ -753,7 +774,7 @@ mod tests {
         let cg2 = CallGraph::compute(&m2);
         let full2 = Summaries::compute(&m2, &cg2);
         cache.begin_run("incr-demo");
-        let inc2 = summaries_incremental(&m2, &cg2, &mut cache);
+        let inc2 = summaries_incremental(&m2, &cg2, &mut cache, &ModuleFacts::new(&m2));
         for (fid, _) in m2.iter_functions() {
             assert_eq!(full2.get(fid), inc2.get(fid));
         }

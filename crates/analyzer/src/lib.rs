@@ -28,6 +28,7 @@ pub mod callgraph;
 pub mod ckpt;
 pub mod consts;
 pub mod diag;
+mod facts;
 pub mod idem;
 pub mod incr;
 pub mod lints;
@@ -47,9 +48,10 @@ pub use races::{RaceOptions, RaceStats};
 use cwsp_compiler::slice::SliceTable;
 use cwsp_compiler::Compiled;
 use cwsp_ir::inst::Inst;
-use cwsp_ir::module::Module;
+use cwsp_ir::module::{FuncId, Module};
 use cwsp_ir::types::RegionId;
 use cwsp_obs::sink::{NullSink, ObsSink};
+use facts::ModuleFacts;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -61,6 +63,16 @@ pub fn analyze(module: &Module, slices: &SliceTable) -> Report {
 /// [`analyze`], additionally publishing per-pass spans (track `analyzer`)
 /// and summary counters through `sink`.
 pub fn analyze_observed(module: &Module, slices: &SliceTable, sink: &mut dyn ObsSink) -> Report {
+    analyze_in(module, slices, sink, &ModuleFacts::new(module))
+}
+
+/// [`analyze_observed`] over the per-function facts of one analysis.
+fn analyze_in(
+    module: &Module,
+    slices: &SliceTable,
+    sink: &mut dyn ObsSink,
+    facts: &ModuleFacts<'_>,
+) -> Report {
     let t0 = Instant::now();
     let mut report = Report {
         module: module.name.clone(),
@@ -69,9 +81,17 @@ pub fn analyze_observed(module: &Module, slices: &SliceTable, sink: &mut dyn Obs
 
     check_module_level(module, &mut report);
 
-    for (_, f) in module.iter_functions() {
+    for (fid, _) in module.iter_functions() {
         report.counters.functions += 1;
-        analyze_function(module, f, slices, &mut report.diagnostics, sink, t0);
+        analyze_function(
+            module,
+            fid,
+            facts,
+            slices,
+            &mut report.diagnostics,
+            sink,
+            t0,
+        );
     }
 
     report.normalize();
@@ -160,8 +180,9 @@ pub(crate) fn check_module_level(module: &Module, report: &mut Report) {
 }
 
 /// Run the per-function pass sequence — validation, structure, idempotence,
-/// checkpoint coverage, lints — appending findings to `out` and publishing
-/// per-pass spans (relative to `t0`) through `sink`.
+/// checkpoint coverage, lints — over function `fid`, appending findings to
+/// `out` and publishing per-pass spans (relative to `t0`) through `sink`.
+/// The passes share the function's [`facts::FnFacts`] from `facts`.
 ///
 /// This is the *unit of caching* for [`incr`]: the diagnostics it appends
 /// depend only on the function body, the module's global layout, and the
@@ -170,7 +191,8 @@ pub(crate) fn check_module_level(module: &Module, report: &mut Report) {
 /// exactly those inputs.
 pub(crate) fn analyze_function(
     module: &Module,
-    f: &cwsp_ir::function::Function,
+    fid: FuncId,
+    facts: &ModuleFacts<'_>,
     slices: &SliceTable,
     out: &mut Vec<Diagnostic>,
     sink: &mut dyn ObsSink,
@@ -191,31 +213,35 @@ pub(crate) fn analyze_function(
     // The analyzer must never panic on malformed input: a function that
     // fails basic validation is reported and skipped — its CFG cannot be
     // traversed meaningfully.
-    if let Err(msg) = f.validate() {
-        out.push(Diagnostic {
-            severity: Severity::Error,
-            invariant: Invariant::Structure,
-            code: "I4-invalid-function",
-            message: msg,
-            location: Location {
-                function: f.name.clone(),
-                block: 0,
-                inst: None,
-            },
-            region: None,
-            witness: None,
-        });
-        return;
-    }
+    let f = module.function(fid);
+    let fx = match facts.get(fid) {
+        Ok(fx) => fx,
+        Err(msg) => {
+            out.push(Diagnostic {
+                severity: Severity::Error,
+                invariant: Invariant::Structure,
+                code: "I4-invalid-function",
+                message: msg.to_string(),
+                location: Location {
+                    function: f.name.clone(),
+                    block: 0,
+                    inst: None,
+                },
+                region: None,
+                witness: None,
+            });
+            return;
+        }
+    };
     let mut t = Instant::now();
-    structure::check_function(f, out);
+    structure::check(f, fx, out);
     t = span("structure", t, sink);
     let roots = idem::root_regions(f);
     idem::check_function(module, f, &roots, out);
     t = span("idempotence", t, sink);
-    ckpt::check_function(f, slices, out);
+    ckpt::check(f, slices, fx, out);
     t = span("checkpoints", t, sink);
-    lints::check_function(module, f, slices, out);
+    lints::check(module, f, slices, fx, out);
     span("lints", t, sink);
 }
 
@@ -278,10 +304,11 @@ fn analyze_layered(
     cache: Option<&mut AnalysisCache>,
 ) -> (Report, Option<RaceStats>, Option<PersistCounters>) {
     let t0 = Instant::now();
+    let facts = ModuleFacts::new(module);
     let mut cache = cache;
     let mut report = match cache.as_deref_mut() {
-        Some(c) => analyze_incremental(module, slices, c),
-        None => analyze(module, slices),
+        Some(c) => incr::analyze_incremental_in(module, slices, c, &mut NullSink, &facts),
+        None => analyze_in(module, slices, &mut NullSink, &facts),
     };
     let mut stats = None;
     let mut persist_counters = None;
@@ -300,9 +327,9 @@ fn analyze_layered(
         let cg = callgraph::CallGraph::compute(module);
         let sums = match cache {
             Some(c) if opts.interproc || opts.persist => {
-                incr::summaries_incremental(module, &cg, c)
+                incr::summaries_incremental(module, &cg, c, &facts)
             }
-            _ => summaries::Summaries::compute(module, &cg),
+            _ => summaries::Summaries::compute_in(module, &cg, &facts),
         };
         if opts.interproc {
             report
@@ -310,7 +337,7 @@ fn analyze_layered(
                 .extend(summaries::check_module(module, &cg, &sums));
         }
         if opts.persist {
-            let (diags, counters) = persist::check_module_with(module, &sums);
+            let (diags, counters) = persist::check_module_in(module, &sums, &facts);
             report.diagnostics.extend(diags);
             persist_counters = Some(counters);
         }

@@ -7,17 +7,18 @@
 //! (or depend on) recovery state behind the hardware's back, voiding the
 //! separation assumption the other analyses rest on.
 
-use crate::consts::{CVal, ConstProp};
 use crate::diag::{Diagnostic, Invariant, Location, Severity};
+use crate::facts::FnFacts;
+use crate::races::resolve_addr;
 use cwsp_compiler::liveness::{defs, RegSet};
 use cwsp_compiler::slice::{RsSource, SliceTable};
 use cwsp_ir::cfg;
 use cwsp_ir::function::{BlockId, Function};
-use cwsp_ir::inst::{Inst, MemRef, Operand};
+use cwsp_ir::inst::Inst;
 use cwsp_ir::layout;
 use cwsp_ir::module::Module;
 use cwsp_ir::pretty::fmt_inst;
-use cwsp_ir::types::{Reg, RegionId, Word};
+use cwsp_ir::types::{Reg, RegionId};
 use std::collections::HashSet;
 
 fn diag(
@@ -43,25 +44,6 @@ fn diag(
     }
 }
 
-/// Resolve the address of `m` at `(b, idx)` to a constant if possible.
-fn const_addr(
-    module: &Module,
-    consts: &ConstProp,
-    f: &Function,
-    b: BlockId,
-    idx: usize,
-    m: &MemRef,
-) -> Option<Word> {
-    let base = match m.base {
-        Operand::Imm(v) => module.resolve_addr(v),
-        Operand::Reg(r) => match consts.value_before(f, b, idx, r)? {
-            CVal::Const(c) => module.resolve_addr(c),
-            CVal::Unknown => return None,
-        },
-    };
-    Some(base.wrapping_add(m.offset as Word))
-}
-
 /// Run all lints on one function, appending findings to `out`.
 pub fn check_function(
     module: &Module,
@@ -69,11 +51,18 @@ pub fn check_function(
     slices: &SliceTable,
     out: &mut Vec<Diagnostic>,
 ) {
-    let rpo = cfg::reverse_post_order(f);
-    let mut reachable = vec![false; f.blocks.len()];
-    for &b in &rpo {
-        reachable[b.index()] = true;
-    }
+    check(module, f, slices, &FnFacts::compute(f), out);
+}
+
+/// [`check_function`] over facts the caller already holds.
+pub(crate) fn check(
+    module: &Module,
+    f: &Function,
+    slices: &SliceTable,
+    facts: &FnFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let (rpo, reachable) = (&facts.rpo, &facts.reachable);
 
     // --- L-unreachable-block ---
     for (bid, _) in f.iter_blocks() {
@@ -103,7 +92,7 @@ pub fn check_function(
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             let Some(mut state) = defined_in[b.index()].clone() else {
                 continue;
             };
@@ -118,20 +107,13 @@ pub fn check_function(
                         *cur = Some(state.clone());
                         changed = true;
                     }
-                    Some(cur) => {
-                        for r in (0..nregs as u32).map(Reg) {
-                            if cur.contains(r) && !state.contains(r) {
-                                cur.remove(r);
-                                changed = true;
-                            }
-                        }
-                    }
+                    Some(cur) => changed |= cur.intersect_with(&state),
                 }
             }
         }
     }
     let mut warned_uninit: HashSet<Reg> = HashSet::new();
-    for &b in &rpo {
+    for &b in rpo {
         let Some(mut state) = defined_in[b.index()].clone() else {
             continue;
         };
@@ -176,6 +158,7 @@ pub fn check_function(
             })
         })
         .collect();
+    let mut leaves = Vec::new();
     for id in &region_ids {
         if let Some(slice) = slices.get(*id) {
             for (r, src) in &slice.restores {
@@ -184,9 +167,8 @@ pub fn check_function(
                         consumed.insert(*r);
                     }
                     RsSource::Expr(e) => {
-                        let mut leaves = Vec::new();
                         e.slot_leaves(&mut leaves);
-                        for leaf in leaves {
+                        for leaf in leaves.drain(..) {
                             consumed.insert(leaf);
                         }
                     }
@@ -196,8 +178,8 @@ pub fn check_function(
         }
     }
 
-    let consts = ConstProp::compute(f);
-    for &b in &rpo {
+    let consts = facts.consts();
+    for &b in rpo {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             match inst {
                 Inst::Ckpt { reg } if !consumed.contains(*reg) => {
@@ -213,7 +195,7 @@ pub fn check_function(
                     ));
                 }
                 Inst::Store { addr, .. } => {
-                    if let Some(a) = const_addr(module, &consts, f, b, i, addr) {
+                    if let Some(a) = resolve_addr(module, consts, f, b, i, addr) {
                         if layout::is_ckpt_addr(a) || layout::is_hw_meta_addr(a) {
                             out.push(diag(
                                 f,
@@ -230,7 +212,7 @@ pub fn check_function(
                     }
                 }
                 Inst::Load { addr, .. } => {
-                    if let Some(a) = const_addr(module, &consts, f, b, i, addr) {
+                    if let Some(a) = resolve_addr(module, consts, f, b, i, addr) {
                         if layout::is_ckpt_addr(a) || layout::is_hw_meta_addr(a) {
                             out.push(diag(
                                 f,
@@ -257,7 +239,7 @@ mod tests {
     use super::*;
     use cwsp_compiler::slice::RecoverySlice;
     use cwsp_ir::builder::FunctionBuilder;
-    use cwsp_ir::inst::BinOp;
+    use cwsp_ir::inst::{BinOp, MemRef, Operand};
 
     fn run(f: &Function, t: &SliceTable) -> Vec<Diagnostic> {
         let m = Module::new("t");

@@ -62,7 +62,9 @@
 use crate::callgraph::CallGraph;
 use crate::consts::ConstProp;
 use crate::diag::{Diagnostic, Invariant, Location, PathWitness, Severity, WitnessStep};
+use crate::facts::ModuleFacts;
 use crate::summaries::{FuncSummary, Summaries};
+use cwsp_compiler::liveness::defs;
 use cwsp_ir::cfg;
 use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::{Inst, MemRef, Operand};
@@ -174,7 +176,7 @@ enum Commit {
 struct Ctx<'a> {
     module: &'a Module,
     f: &'a Function,
-    consts: ConstProp,
+    consts: &'a ConstProp,
     /// Per-`FuncId` persist-purity of callees.
     pure_call: &'a [bool],
 }
@@ -184,7 +186,7 @@ impl Ctx<'_> {
     /// accesses into the reserved checkpoint/metadata ranges (recovery
     /// plumbing, not program durability).
     fn key_of(&self, b: BlockId, i: usize, m: &MemRef) -> Option<LineKey> {
-        match crate::races::resolve_addr(self.module, &self.consts, self.f, b, i, m) {
+        match crate::races::resolve_addr(self.module, self.consts, self.f, b, i, m) {
             Some(a) => {
                 if layout::is_ckpt_addr(a) || layout::is_hw_meta_addr(a) {
                     None
@@ -372,11 +374,10 @@ fn transfer(
     }
     // A redefinition of a symbolic key's base register severs the only
     // provable link between the key and any later flush of the same memref.
-    let defs = defs_of(inst);
-    if !defs.is_empty() {
+    if defs_of(inst).next().is_some() {
         let stale: Vec<LineKey> = state
             .keys()
-            .filter(|k| matches!(k, LineKey::Sym(r, _) if defs.contains(r)))
+            .filter(|k| matches!(k, LineKey::Sym(r, _) if defs_of(inst).any(|d| d == *r)))
             .copied()
             .collect();
         for k in stale {
@@ -394,12 +395,8 @@ fn transfer(
 
 /// Registers defined by `inst` (including call-saved restores), as raw
 /// indices — the kill set for symbolic keys.
-fn defs_of(inst: &Inst) -> Vec<u32> {
-    let mut d: Vec<u32> = inst.def().map(|r| r.0).into_iter().collect();
-    if let Inst::Call { save_regs, .. } = inst {
-        d.extend(save_regs.iter().map(|r| r.0));
-    }
-    d
+fn defs_of(inst: &Inst) -> impl Iterator<Item = u32> + '_ {
+    defs(inst).map(|r| r.0)
 }
 
 fn loc(f: &Function, b: BlockId, i: usize) -> Location {
@@ -413,24 +410,26 @@ fn loc(f: &Function, b: BlockId, i: usize) -> Location {
 /// Analyze one function, appending diagnostics and accumulating counters.
 fn check_function(
     module: &Module,
-    f: &Function,
+    fid: FuncId,
+    facts: &ModuleFacts<'_>,
     pure_call: &[bool],
     out: &mut Vec<Diagnostic>,
     counters: &mut PersistCounters,
 ) {
-    if f.validate().is_err() {
+    let Ok(facts) = facts.get(fid) else {
         // I4-invalid-function is reported by the core pass sequence; a
         // malformed CFG cannot be traversed meaningfully here.
         return;
-    }
+    };
     counters.functions += 1;
+    let f = module.function(fid);
     let ctx = Ctx {
         module,
         f,
-        consts: ConstProp::compute(f),
+        consts: facts.consts(),
         pure_call,
     };
-    let rpo = cfg::reverse_post_order(f);
+    let rpo = &facts.rpo;
     let nb = f.blocks.len();
     let mut block_in: Vec<Option<State>> = vec![None; nb];
     block_in[f.entry().0 as usize] = Some(State::new());
@@ -439,7 +438,7 @@ fn check_function(
     let mut scratch_counters = PersistCounters::default();
     loop {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             let Some(mut st) = block_in[b.0 as usize].clone() else {
                 continue;
             };
@@ -471,7 +470,7 @@ fn check_function(
     }
     // Report walk over the converged in-states (deterministic: each block
     // visited once, in RPO).
-    for &b in &rpo {
+    for &b in rpo {
         let Some(mut st) = block_in[b.0 as usize].clone() else {
             continue;
         };
@@ -498,13 +497,22 @@ fn persist_pure(s: &FuncSummary) -> bool {
 
 /// I6 over a whole module with precomputed interprocedural summaries.
 pub fn check_module_with(module: &Module, sums: &Summaries) -> (Vec<Diagnostic>, PersistCounters) {
+    check_module_in(module, sums, &ModuleFacts::new(module))
+}
+
+/// [`check_module_with`] over the per-function facts of one analysis.
+pub(crate) fn check_module_in(
+    module: &Module,
+    sums: &Summaries,
+    facts: &ModuleFacts<'_>,
+) -> (Vec<Diagnostic>, PersistCounters) {
     let pure_call: Vec<bool> = (0..module.function_count())
         .map(|i| persist_pure(sums.get(FuncId(i as u32))))
         .collect();
     let mut diags = Vec::new();
     let mut counters = PersistCounters::default();
-    for (_, f) in module.iter_functions() {
-        check_function(module, f, &pure_call, &mut diags, &mut counters);
+    for (fid, _) in module.iter_functions() {
+        check_function(module, fid, facts, &pure_call, &mut diags, &mut counters);
     }
     (diags, counters)
 }
@@ -512,9 +520,10 @@ pub fn check_module_with(module: &Module, sums: &Summaries) -> (Vec<Diagnostic>,
 /// I6 over a whole module, computing the call graph and summaries locally —
 /// the standalone entry (`cwsp-lint --persist`, tests, fuzz oracles).
 pub fn check_module(module: &Module) -> (Vec<Diagnostic>, PersistCounters) {
+    let facts = ModuleFacts::new(module);
     let cg = CallGraph::compute(module);
-    let sums = Summaries::compute(module, &cg);
-    check_module_with(module, &sums)
+    let sums = Summaries::compute_in(module, &cg, &facts);
+    check_module_in(module, &sums, &facts)
 }
 
 /// Whether `diags` contains no error-severity I6 finding — the

@@ -13,6 +13,7 @@
 //! over `Ckpt`s.
 
 use crate::diag::{Diagnostic, Invariant, Location, Severity};
+use crate::facts::FnFacts;
 use cwsp_ir::cfg;
 use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
@@ -63,15 +64,15 @@ fn next_skipping_ckpts(f: &Function, b: BlockId, idx: usize) -> Option<&Inst> {
 
 /// Check the structural rules on one function, appending findings to `out`.
 pub fn check_function(f: &Function, out: &mut Vec<Diagnostic>) {
-    let rpo = cfg::reverse_post_order(f);
-    let mut reachable = vec![false; f.blocks.len()];
-    for &b in &rpo {
-        reachable[b.index()] = true;
-    }
-    let preds = cfg::predecessors(f);
+    check(f, &FnFacts::compute(f), out);
+}
+
+/// [`check_function`] over facts the caller already holds.
+pub(crate) fn check(f: &Function, facts: &FnFacts<'_>, out: &mut Vec<Diagnostic>) {
+    let (reachable, preds) = (&facts.reachable, facts.preds());
     let headers = cfg::loop_headers(f);
 
-    for &b in &rpo {
+    for &b in &facts.rpo {
         // Join blocks and loop headers must begin with a boundary, or the
         // region fragment flowing into them is not a tree and re-execution
         // may replay a merged path.

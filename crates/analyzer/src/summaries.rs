@@ -16,9 +16,8 @@
 //! grow, flags latch — so the iteration converges).
 
 use crate::callgraph::CallGraph;
-use crate::consts::ConstProp;
 use crate::diag::{Diagnostic, Invariant, Location, Severity};
-use cwsp_ir::function::Function;
+use crate::facts::ModuleFacts;
 use cwsp_ir::inst::{AtomicOp, Inst, Operand};
 use cwsp_ir::layout;
 use cwsp_ir::module::{FuncId, Module};
@@ -105,6 +104,11 @@ pub struct Summaries {
 impl Summaries {
     /// Compute all summaries bottom-up over `cg`'s SCCs.
     pub fn compute(module: &Module, cg: &CallGraph) -> Self {
+        Self::compute_in(module, cg, &ModuleFacts::new(module))
+    }
+
+    /// [`Summaries::compute`] reading constants from `facts`.
+    pub(crate) fn compute_in(module: &Module, cg: &CallGraph, facts: &ModuleFacts<'_>) -> Self {
         let n = module.function_count();
         let mut by_func: Vec<FuncSummary> = vec![FuncSummary::default(); n];
         for scc in cg.sccs_bottom_up() {
@@ -112,7 +116,7 @@ impl Summaries {
             // callee absorption to a fixed point (1 pass for acyclic SCCs).
             for &fid in scc {
                 if fid.index() < n {
-                    by_func[fid.index()] = body_summary(module, module.function(fid));
+                    by_func[fid.index()] = body_summary(module, fid, facts);
                 }
             }
             loop {
@@ -161,14 +165,15 @@ impl Summaries {
 }
 
 /// Summarize one function body (no callee effects).
-pub(crate) fn body_summary(module: &Module, f: &Function) -> FuncSummary {
+pub(crate) fn body_summary(module: &Module, fid: FuncId, facts: &ModuleFacts<'_>) -> FuncSummary {
+    let f = module.function(fid);
     let mut s = FuncSummary::default();
-    let consts = ConstProp::compute(f);
+    let consts = facts.unvalidated(fid).consts();
     for (b, block) in f.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
             match inst {
                 Inst::Store { addr, .. } => {
-                    match crate::races::resolve_addr(module, &consts, f, b, i, addr) {
+                    match crate::races::resolve_addr(module, consts, f, b, i, addr) {
                         Some(a) => {
                             if layout::is_ckpt_addr(a) || layout::is_hw_meta_addr(a) {
                                 s.writes_ckpt_range = true;
@@ -180,7 +185,7 @@ pub(crate) fn body_summary(module: &Module, f: &Function) -> FuncSummary {
                     }
                 }
                 Inst::Load { addr, .. } => {
-                    match crate::races::resolve_addr(module, &consts, f, b, i, addr) {
+                    match crate::races::resolve_addr(module, consts, f, b, i, addr) {
                         Some(a) => {
                             s.loads.insert(a);
                         }
@@ -193,7 +198,7 @@ pub(crate) fn body_summary(module: &Module, f: &Function) -> FuncSummary {
                     src,
                     expected,
                     ..
-                } => match crate::races::resolve_addr(module, &consts, f, b, i, addr) {
+                } => match crate::races::resolve_addr(module, consts, f, b, i, addr) {
                     Some(a) => {
                         s.sync_addrs.insert(a);
                         match op {

@@ -37,30 +37,19 @@ fn transfer(state: &mut RegSet, inst: &Inst) {
     }
 }
 
-fn intersect_with(a: &mut RegSet, b: &RegSet, nregs: usize) -> bool {
-    let mut changed = false;
-    for r in (0..nregs as u32).map(Reg) {
-        if a.contains(r) && !b.contains(r) {
-            a.remove(r);
-            changed = true;
-        }
-    }
-    changed
-}
-
 impl SlotSync {
-    /// Run the analysis to fixpoint on `f`. Function entry starts with *no*
+    /// Run the analysis to fixpoint on `f`, visiting blocks in `rpo`, the
+    /// function's reverse post-order. Function entry starts with *no*
     /// register synced: parameters arrive via the call frame, not via slots.
-    pub fn compute(f: &Function) -> Self {
+    pub fn compute(f: &Function, rpo: &[BlockId]) -> Self {
         let nregs = f.reg_count as usize;
         let mut block_in: Vec<Option<RegSet>> = vec![None; f.blocks.len()];
         block_in[f.entry().index()] = Some(RegSet::new(nregs));
 
-        let rpo = cfg::reverse_post_order(f);
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &rpo {
+            for &b in rpo {
                 let Some(mut state) = block_in[b.index()].clone() else {
                     continue;
                 };
@@ -74,7 +63,7 @@ impl SlotSync {
                             changed = true;
                         }
                         Some(cur) => {
-                            changed |= intersect_with(cur, &state, nregs);
+                            changed |= cur.intersect_with(&state);
                         }
                     }
                 }
@@ -102,9 +91,16 @@ impl SlotSync {
     /// `(b, idx)`: walk backwards to the clobbering definition (or function
     /// entry, if `r` was never checkpointed), then present the path forward.
     ///
-    /// Only meaningful when `r ∉ synced_before(f, b, idx)`.
-    pub fn witness_unsynced(&self, f: &Function, b: BlockId, idx: usize, r: Reg) -> PathWitness {
-        let preds = cfg::predecessors(f);
+    /// Only meaningful when `r ∉ synced_before(f, b, idx)`; `preds` are
+    /// `f`'s predecessor lists.
+    pub fn witness_unsynced(
+        &self,
+        f: &Function,
+        preds: &[Vec<BlockId>],
+        b: BlockId,
+        idx: usize,
+        r: Reg,
+    ) -> PathWitness {
         // Steps collected in reverse (violation first), flipped at the end.
         let mut steps: Vec<WitnessStep> = vec![WitnessStep {
             block: b.0,
@@ -200,6 +196,10 @@ mod tests {
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::Operand;
 
+    fn analyze(f: &Function) -> SlotSync {
+        SlotSync::compute(f, &cfg::reverse_post_order(f))
+    }
+
     #[test]
     fn ckpt_establishes_and_def_kills_sync() {
         let mut b = FunctionBuilder::new("f", 0);
@@ -215,7 +215,7 @@ mod tests {
         );
         b.push(e, Inst::Halt);
         let f = b.build();
-        let ss = SlotSync::compute(&f);
+        let ss = analyze(&f);
         assert!(!ss.synced_before(&f, e, 1).unwrap().contains(r0));
         assert!(ss.synced_before(&f, e, 2).unwrap().contains(r0));
         assert!(
@@ -246,10 +246,10 @@ mod tests {
         bld.push(b2, Inst::Br { target: join });
         bld.push(join, Inst::Halt);
         let f = bld.build();
-        let ss = SlotSync::compute(&f);
+        let ss = analyze(&f);
         assert!(!ss.synced_before(&f, join, 0).unwrap().contains(r1));
 
-        let w = ss.witness_unsynced(&f, join, 0, r1);
+        let w = ss.witness_unsynced(&f, &cfg::predecessors(&f), join, 0, r1);
         assert!(!w.steps.is_empty());
         let text: Vec<&str> = w.steps.iter().map(|s| s.note.as_str()).collect();
         assert!(
@@ -285,7 +285,7 @@ mod tests {
         }
         bld.push(join, Inst::Halt);
         let f = bld.build();
-        let ss = SlotSync::compute(&f);
+        let ss = analyze(&f);
         assert!(ss.synced_before(&f, join, 0).unwrap().contains(r1));
     }
 
@@ -307,7 +307,7 @@ mod tests {
         );
         b.push(e, Inst::Halt);
         let f = b.build();
-        let ss = SlotSync::compute(&f);
+        let ss = analyze(&f);
         assert!(ss.synced_before(&f, e, 2).unwrap().contains(r0));
         assert!(!ss.synced_before(&f, e, 3).unwrap().contains(r0));
     }
@@ -327,8 +327,8 @@ mod tests {
         );
         b.push(e, Inst::Halt);
         let f = b.build();
-        let ss = SlotSync::compute(&f);
-        let w = ss.witness_unsynced(&f, e, 3, r0);
+        let ss = analyze(&f);
+        let w = ss.witness_unsynced(&f, &cfg::predecessors(&f), e, 3, r0);
         assert!(
             w.steps.iter().any(|s| s.note.contains("clobbers r0")),
             "{w:?}"
@@ -366,7 +366,7 @@ mod tests {
         bld.push(body, Inst::Br { target: header });
         bld.push(exit, Inst::Halt);
         let f = bld.build();
-        let ss = SlotSync::compute(&f);
+        let ss = analyze(&f);
         assert!(
             !ss.synced_before(&f, header, 0).unwrap().contains(r),
             "loop-carried clobber must kill the fact at the header"

@@ -225,11 +225,14 @@ fn gather(target: &Target, cores: usize, raw_mode: bool) -> Result<Vec<Subject>,
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let m = cwsp_ir::parse::parse_module(&text)
                 .map_err(|e| format!("parse error in {path}: {e}"))?;
-            Ok(vec![if *raw || raw_mode {
-                Subject::Raw(path.clone(), m)
-            } else {
-                Subject::compile(path, &m)
-            }])
+            if *raw || raw_mode {
+                return Ok(vec![Subject::Raw(path.clone(), m)]);
+            }
+            // The compiler takes only well-formed modules (an entry, valid
+            // bodies); the raw linter reports what this rejects.
+            m.validate()
+                .map_err(|e| format!("cannot compile {path}: {e}"))?;
+            Ok(vec![Subject::compile(path, &m)])
         }
     }
 }

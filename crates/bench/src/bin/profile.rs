@@ -24,21 +24,37 @@ use cwsp_compiler::pipeline::{CompileOptions, CwspCompiler};
 use cwsp_sim::config::SimConfig;
 use cwsp_sim::machine::Machine;
 use cwsp_sim::scheme::Scheme;
+use cwsp_workloads::Workload;
+use std::process::ExitCode;
 
 /// Compute-dense, write-heavy, and transactional — three distinct shapes.
 const DEFAULT_APPS: [&str; 3] = ["namd", "lbm", "tatp"];
 
-fn main() {
-    cwsp_bench::harness_main("profile", run);
-}
-
-fn run() {
+fn main() -> ExitCode {
+    // A bad `CWSP_*` value exits 2 here, before any work.
+    cwsp_store::config::get();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<String> = if args.is_empty() {
         DEFAULT_APPS.iter().map(|s| (*s).to_string()).collect()
     } else {
         args
     };
+    // Resolve every name before any work, so a typo costs nothing.
+    let mut workloads = Vec::with_capacity(names.len());
+    for name in &names {
+        match cwsp_workloads::by_name(name) {
+            Some(w) => workloads.push(w),
+            None => {
+                eprintln!("profile: unknown workload {name:?} (see list_workloads)");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    cwsp_bench::harness_main("profile", || run(&workloads));
+    ExitCode::SUCCESS
+}
+
+fn run(workloads: &[Workload]) {
     let dir = cwsp_store::config::get()
         .profile_dir
         .clone()
@@ -52,9 +68,7 @@ fn run() {
         "   {:<10} {:<10} {:>12} {:>9}  top site",
         "app", "scheme", "cycles", "coverage"
     );
-    for name in &names {
-        let w = cwsp_workloads::by_name(name)
-            .unwrap_or_else(|| panic!("unknown workload {name:?} (see list_workloads)"));
+    for w in workloads {
         // Both schemes run the *compiled* binary, so profiles are
         // line-up-able: same sites, different persist machinery.
         let compiled = CwspCompiler::new(CompileOptions::default()).compile(&w.module);
@@ -64,7 +78,7 @@ fn run() {
             machine.enable_trace(cwsp_store::config::DEFAULT_TRACE_CAPACITY);
             let r = machine
                 .run(u64::MAX, None)
-                .unwrap_or_else(|e| panic!("{name} {}: {e}", scheme.name()));
+                .unwrap_or_else(|e| panic!("{} {}: {e}", w.name, scheme.name()));
             let flat = machine.flat_profile().expect("profiler was enabled");
             let chrome = machine.chrome_trace().expect("tracing was enabled");
 
@@ -100,7 +114,7 @@ fn run() {
     }
     println!(
         "--\n   wrote {} files to {}",
-        names.len() * 6,
+        workloads.len() * 6,
         dir.display()
     );
 }

@@ -54,7 +54,7 @@ pub fn may_alias(a: AbstractAddr, b: AbstractAddr) -> bool {
 /// Feed instructions in path order with [`PathState::transfer`]; query access
 /// addresses with [`PathState::addr_of`] *before* transferring the
 /// instruction that performs the access.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PathState<'m> {
     module: &'m Module,
     /// Abstract value of each register the path has read or written. A
@@ -62,6 +62,24 @@ pub struct PathState<'m> {
     /// over unvalidated modules, whose register numbers are unbounded.
     vals: FxHashMap<Reg, AbstractVal>,
     next_sym: u32,
+}
+
+impl Clone for PathState<'_> {
+    fn clone(&self) -> Self {
+        PathState {
+            module: self.module,
+            vals: self.vals.clone(),
+            next_sym: self.next_sym,
+        }
+    }
+
+    /// Reuses `self`'s table, so a walk that recycles its states forks
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.module = source.module;
+        self.vals.clone_from(&source.vals);
+        self.next_sym = source.next_sym;
+    }
 }
 
 impl<'m> PathState<'m> {

@@ -23,7 +23,6 @@ use cwsp_ir::function::Function;
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
 use cwsp_ir::types::Reg;
-use std::collections::BTreeMap;
 
 /// Checkpoint placement strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,31 +47,32 @@ pub fn insert_checkpoints(module: &mut Module, mode: CkptMode) -> usize {
             CkptMode::DefSite => def_site_positions(f),
             CkptMode::PerBoundary => per_boundary_positions(f),
         };
-        total += positions.values().map(Vec::len).sum::<usize>();
-        apply_positions(module.function_mut(fid), positions);
+        total += positions.len();
+        apply_positions(module.function_mut(fid), &positions);
     }
     total
 }
 
-/// Positions keyed by `(block, insert-before-idx)` → registers to checkpoint.
-type Positions = BTreeMap<(u32, usize), Vec<Reg>>;
+/// Checkpoints to insert: `(block, insert-before-idx, register)`, sorted and
+/// without duplicates.
+type Positions = Vec<(u32, usize, Reg)>;
 
 /// Rebuild each block that gains checkpoints in one pass: the registers of
 /// position `(b, i)` are checkpointed, in order, just before instruction `i`.
-fn apply_positions(f: &mut Function, positions: Positions) {
-    let mut positions = positions.into_iter().peekable();
-    while let Some(&((b, _), _)) = positions.peek() {
+fn apply_positions(f: &mut Function, positions: &Positions) {
+    let mut positions = positions.iter().copied().peekable();
+    while let Some(&(b, _, _)) = positions.peek() {
+        let added = positions.clone().take_while(|&(pb, _, _)| pb == b).count();
         let block = &mut f.blocks[b as usize].insts;
-        let old = std::mem::take(block);
+        let old = std::mem::replace(block, Vec::with_capacity(block.len() + added));
         for (i, inst) in old.into_iter().enumerate() {
-            while let Some(((_, _), regs)) = positions.next_if(|&((pb, pi), _)| pb == b && pi == i)
-            {
-                block.extend(regs.into_iter().map(|reg| Inst::Ckpt { reg }));
+            while let Some((_, _, reg)) = positions.next_if(|&(pb, pi, _)| pb == b && pi == i) {
+                block.push(Inst::Ckpt { reg });
             }
             block.push(inst);
         }
-        while let Some((_, regs)) = positions.next_if(|&((pb, _), _)| pb == b) {
-            block.extend(regs.into_iter().map(|reg| Inst::Ckpt { reg }));
+        while let Some((_, _, reg)) = positions.next_if(|&(pb, _, _)| pb == b) {
+            block.push(Inst::Ckpt { reg });
         }
     }
 }
@@ -81,14 +81,15 @@ fn apply_positions(f: &mut Function, positions: Positions) {
 /// the region start it introduces (== live across the boundary).
 fn per_boundary_positions(f: &Function) -> Positions {
     let lv = Liveness::compute(f);
-    let mut pos: Positions = BTreeMap::new();
+    let mut pos: Positions = Vec::new();
     for (bid, _) in f.iter_blocks() {
         lv.walk_back(f, bid, |i, inst, live| {
-            if matches!(inst, Inst::Boundary { .. }) && !live.is_empty() {
-                pos.insert((bid.0, i), live.iter().collect());
+            if matches!(inst, Inst::Boundary { .. }) {
+                pos.extend(live.iter().map(|r| (bid.0, i, r)));
             }
         });
     }
+    pos.sort_unstable();
     pos
 }
 
@@ -125,13 +126,13 @@ fn def_site_positions(f: &Function) -> Positions {
     // needs_out[b] = needs at the bottom of block b (flowing backward).
     let (_, needs_out) = solve_backward(f, &gen, &kill);
     // Final sweep: record checkpoint sites deterministically.
-    let mut pos: Positions = BTreeMap::new();
+    let mut pos: Positions = Vec::new();
     for ((bid, _), mut needs) in f.iter_blocks().zip(needs_out) {
         lv.walk_back(f, bid, |i, inst, live| {
             for d in defs(inst) {
                 if needs.remove(d) {
                     // checkpoint right after the def
-                    pos.entry((bid.0, i + 1)).or_default().push(d);
+                    pos.push((bid.0, i + 1, d));
                 }
             }
             if matches!(inst, Inst::Boundary { .. }) {
@@ -142,13 +143,11 @@ fn def_site_positions(f: &Function) -> Positions {
         });
         if bid == f.entry() && !needs.is_empty() {
             // Residual needs: parameters and zero-initialized registers.
-            pos.entry((bid.0, 0)).or_default().extend(needs.iter());
+            pos.extend(needs.iter().map(|r| (bid.0, 0, r)));
         }
     }
-    for regs in pos.values_mut() {
-        regs.sort_unstable();
-        regs.dedup();
-    }
+    pos.sort_unstable();
+    pos.dedup();
     pos
 }
 

@@ -203,12 +203,17 @@ fn check_module_stages(m: &Module) {
     check(&m);
 }
 
-/// The 38 apps, `multicore::all(4)`, `gen` seeded genprog modules with calls
-/// and `conc` seeded concurrent modules.
-fn corpus(gen: u64, conc: u64) -> impl Iterator<Item = Module> {
+/// The 38 apps, `multicore::all(4)`, `gen` seeded genprog modules with calls,
+/// `conc` seeded concurrent modules and `wide` seeded genprog modules whose
+/// `main` has more than 300 registers, beyond what a [`RegSet`] holds inline.
+fn corpus(gen: u64, conc: u64, wide: u64) -> impl Iterator<Item = Module> {
     use cwsp_core::genprog::{generate, generate_concurrent, ConcSpec, ProgramSpec};
     let spec = ProgramSpec {
         calls: true,
+        ..Default::default()
+    };
+    let wide_spec = ProgramSpec {
+        segments: 200,
         ..Default::default()
     };
     cwsp_workloads::all()
@@ -221,11 +226,16 @@ fn corpus(gen: u64, conc: u64) -> impl Iterator<Item = Module> {
         )
         .chain((0..gen).map(move |s| generate(&spec, 0x5eed_0000 + s)))
         .chain((0..conc).map(|s| generate_concurrent(&ConcSpec::default(), 0xc0c0_0000 + s)))
+        .chain((0..wide).map(move |s| {
+            let m = generate(&wide_spec, 0x61de_0000 + s);
+            assert!(m.iter_functions().any(|(_, f)| f.reg_count > 300));
+            m
+        }))
 }
 
 #[test]
 fn dataflow_matches_naive_reference_on_corpus() {
-    for m in corpus(60, 20) {
+    for m in corpus(60, 20, 1) {
         check_module_stages(&m);
     }
 }
@@ -235,7 +245,7 @@ fn dataflow_matches_naive_reference_on_corpus() {
 #[test]
 #[ignore]
 fn dataflow_matches_naive_reference_on_large_corpus() {
-    for m in corpus(1_500, 450) {
+    for m in corpus(1_500, 450, 20) {
         check_module_stages(&m);
     }
 }

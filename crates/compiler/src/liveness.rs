@@ -9,71 +9,122 @@ use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::types::Reg;
 
+/// Bit words a [`RegSet`] holds inline: registers `0..256`.
+const INLINE_WORDS: usize = 4;
+
 /// A dense register bit set.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Registers `0..256` live in an inline word array, so creating, cloning
+/// and dropping the set of a function with at most 256 registers allocates
+/// nothing; only the words for registers above that go to the heap, in
+/// `tail`.
+#[derive(Debug, Clone, Eq, Default)]
 pub struct RegSet {
-    bits: Vec<u64>,
+    inline: [u64; INLINE_WORDS],
+    /// Words for registers `256..`; empty unless the set was sized
+    /// for more registers than fit inline.
+    tail: Vec<u64>,
 }
 
 impl RegSet {
     /// An empty set sized for `nregs` registers.
     pub fn new(nregs: usize) -> Self {
         RegSet {
-            bits: vec![0; nregs.div_ceil(64)],
+            inline: [0; INLINE_WORDS],
+            tail: vec![0; nregs.div_ceil(64).saturating_sub(INLINE_WORDS)],
         }
+    }
+
+    #[inline]
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        match self.inline.get_mut(w) {
+            Some(word) => word,
+            None => &mut self.tail[w - INLINE_WORDS],
+        }
+    }
+
+    /// All words, inline first.
+    fn words(&self) -> impl Iterator<Item = &u64> + '_ {
+        self.inline.iter().chain(&self.tail)
+    }
+
+    /// Apply `op` to each word of `self` and the matching word of `other`;
+    /// returns whether any word of `self` changed.
+    #[inline]
+    fn combine(&mut self, other: &RegSet, op: impl Fn(u64, u64) -> u64) -> bool {
+        let mut diff = 0;
+        let mut apply = |a: &mut u64, b: u64| {
+            let new = op(*a, b);
+            diff |= new ^ *a;
+            *a = new;
+        };
+        for (a, &b) in self.inline.iter_mut().zip(&other.inline) {
+            apply(a, b);
+        }
+        for (a, &b) in self.tail.iter_mut().zip(&other.tail) {
+            apply(a, b);
+        }
+        diff != 0
     }
 
     /// Insert `r`; returns whether the set changed.
     #[inline]
     pub fn insert(&mut self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
-        let old = self.bits[w];
-        self.bits[w] |= 1 << b;
-        self.bits[w] != old
+        let word = self.word_mut(w);
+        let old = *word;
+        *word |= 1 << b;
+        *word != old
     }
 
     /// Remove `r`; returns whether it was a member.
     #[inline]
     pub fn remove(&mut self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
-        let old = self.bits[w];
-        self.bits[w] &= !(1 << b);
-        self.bits[w] != old
+        let word = self.word_mut(w);
+        let old = *word;
+        *word &= !(1 << b);
+        *word != old
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
-        self.bits[w] >> b & 1 == 1
+        let word = match self.inline.get(w) {
+            Some(word) => *word,
+            None => self.tail[w - INLINE_WORDS],
+        };
+        word >> b & 1 == 1
     }
 
     /// Union `other` into `self`; returns whether `self` changed.
     pub fn union_with(&mut self, other: &RegSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            let old = *a;
-            *a |= b;
-            changed |= *a != old;
-        }
-        changed
+        self.combine(other, |a, b| a | b)
+    }
+
+    /// Intersect `self` with `other`; returns whether `self` changed.
+    pub fn intersect_with(&mut self, other: &RegSet) -> bool {
+        self.combine(other, |a, b| a & b)
     }
 
     /// Remove every member.
     pub fn clear(&mut self) {
-        self.bits.fill(0);
+        self.inline = [0; INLINE_WORDS];
+        for w in &mut self.tail {
+            *w = 0;
+        }
     }
 
     /// `self = gen ∪ (self − kill)`: a gen/kill transfer in place.
     pub fn transfer(&mut self, gen: &RegSet, kill: &RegSet) {
-        for ((a, g), k) in self.bits.iter_mut().zip(&gen.bits).zip(&kill.bits) {
-            *a = g | (*a & !k);
-        }
+        self.combine(kill, |a, k| a & !k);
+        self.union_with(gen);
     }
 
     /// Iterate members in ascending register order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &bits)| {
+        self.words().enumerate().flat_map(|(w, &bits)| {
             let mut rest = bits;
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
@@ -87,12 +138,22 @@ impl RegSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+        self.words().map(|b| b.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&b| b == 0)
+        self.words().all(|&b| b == 0)
+    }
+}
+
+impl PartialEq for RegSet {
+    /// Word by word: comparing the tails as slices would call `memcmp` even
+    /// when both are empty, the common case.
+    fn eq(&self, other: &RegSet) -> bool {
+        self.inline == other.inline
+            && self.tail.len() == other.tail.len()
+            && self.tail.iter().zip(&other.tail).all(|(a, b)| a == b)
     }
 }
 
@@ -130,10 +191,6 @@ pub(crate) fn solve_backward(
     kill: &[RegSet],
 ) -> (Vec<RegSet>, Vec<RegSet>) {
     let nregs = f.reg_count as usize;
-    let succs: Vec<cfg::Successors> = f
-        .iter_blocks()
-        .map(|(b, _)| cfg::successors(f, b))
-        .collect();
     let mut order = cfg::reverse_post_order(f);
     order.reverse();
     let mut ins = vec![RegSet::new(nregs); f.blocks.len()];
@@ -144,7 +201,7 @@ pub(crate) fn solve_backward(
         changed = false;
         for &b in &order {
             next.clear();
-            for s in &succs[b.index()] {
+            for s in cfg::successors(f, b) {
                 next.union_with(&ins[s.index()]);
             }
             next.transfer(&gen[b.index()], &kill[b.index()]);
@@ -154,8 +211,8 @@ pub(crate) fn solve_backward(
             }
         }
     }
-    for (out, succ) in outs.iter_mut().zip(&succs) {
-        for s in succ {
+    for ((b, _), out) in f.iter_blocks().zip(&mut outs) {
+        for s in cfg::successors(f, b) {
             out.union_with(&ins[s.index()]);
         }
     }
@@ -241,6 +298,86 @@ mod tests {
         assert!(t.union_with(&s));
         assert!(!t.union_with(&s), "second union is a no-op");
         assert!(t.contains(Reg(129)) && t.contains(Reg(5)));
+    }
+
+    /// Every operation at widths that fill one word, fill the inline words
+    /// exactly, and spill into the heap tail, checked against a `BTreeSet`.
+    #[test]
+    fn regset_inline_and_heap_words_agree_with_a_reference_set() {
+        use std::collections::BTreeSet;
+        for nregs in [64usize, 256, 257, 300, 700] {
+            let members = |step: usize, phase: usize| -> Vec<Reg> {
+                (phase..nregs)
+                    .step_by(step)
+                    .map(|r| Reg(r as u32))
+                    .collect()
+            };
+            let mut a = RegSet::new(nregs);
+            let mut reference = BTreeSet::new();
+            for r in members(3, 0) {
+                assert!(a.insert(r), "{nregs}: first insert of {r}");
+                reference.insert(r);
+            }
+            let last = Reg(nregs as u32 - 1);
+            assert_eq!(
+                a.insert(last),
+                reference.insert(last),
+                "{nregs}: insert {last}"
+            );
+            for r in members(7, 2) {
+                assert_eq!(a.remove(r), reference.remove(&r), "{nregs}: remove {r}");
+            }
+            assert!(a.iter().eq(reference.iter().copied()), "{nregs}: iter");
+            assert_eq!(a.len(), reference.len(), "{nregs}: len");
+            for r in (0..nregs as u32).map(Reg) {
+                assert_eq!(a.contains(r), reference.contains(&r), "{nregs}: {r}");
+            }
+
+            let mut b = RegSet::new(nregs);
+            for r in members(5, 1) {
+                b.insert(r);
+            }
+            let b_ref: BTreeSet<Reg> = b.iter().collect();
+            let mut u = a.clone();
+            assert!(u.union_with(&b), "{nregs}: union grows the set");
+            assert!(!u.union_with(&b), "{nregs}: second union is a no-op");
+            assert!(
+                u.iter().eq(reference.union(&b_ref).copied()),
+                "{nregs}: union"
+            );
+
+            let mut i = a.clone();
+            assert!(
+                i.intersect_with(&b),
+                "{nregs}: intersection shrinks the set"
+            );
+            assert!(i.iter().eq(reference.intersection(&b_ref).copied()));
+
+            // `t = gen ∪ (t − kill)` with gen = b, kill = members(2, 0).
+            let mut kill = RegSet::new(nregs);
+            members(2, 0).into_iter().for_each(|r| {
+                kill.insert(r);
+            });
+            let kill_ref: BTreeSet<Reg> = kill.iter().collect();
+            let mut t = a.clone();
+            t.transfer(&b, &kill);
+            let want: BTreeSet<Reg> = reference
+                .difference(&kill_ref)
+                .copied()
+                .chain(b_ref.iter().copied())
+                .collect();
+            assert!(t.iter().eq(want.iter().copied()), "{nregs}: transfer");
+
+            assert_eq!(a, a.clone(), "{nregs}: clone compares equal");
+            let mut c = a.clone();
+            c.remove(last);
+            assert_ne!(a, c, "{nregs}: the last register's word takes part in ==");
+            c.insert(last);
+            assert_eq!(a, c);
+            c.clear();
+            assert!(c.is_empty() && c.iter().next().is_none(), "{nregs}: clear");
+            assert_eq!(c, RegSet::new(nregs));
+        }
     }
 
     #[test]

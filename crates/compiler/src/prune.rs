@@ -23,6 +23,7 @@ use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::{Inst, Operand};
 use cwsp_ir::module::{FuncId, Module};
 use cwsp_ir::types::{Reg, RegionId, Word};
+use std::ops::Range;
 
 /// Caps on rematerialization expressions.
 const MAX_EXPR_NODES: usize = 12;
@@ -47,6 +48,12 @@ struct SiteSet(Vec<u64>);
 impl SiteSet {
     fn new(rd: &ReachingDefs) -> Self {
         SiteSet(vec![0; rd.site_count().div_ceil(64)])
+    }
+
+    fn clear(&mut self) {
+        for w in &mut self.0 {
+            *w = 0;
+        }
     }
 
     fn insert(&mut self, s: SiteId) {
@@ -86,20 +93,22 @@ pub fn prune_and_build_slices(
     (table, info)
 }
 
-/// One boundary's live-ins after round 1.
+/// One boundary's live-ins after round 1, as ranges of the function-wide
+/// `consts` and `tentative` lists.
 struct Boundary {
     id: RegionId,
     bid: BlockId,
     idx: usize,
-    consts: Vec<(Reg, Word)>,
-    tentative: Vec<Reg>,
+    consts: Range<usize>,
+    tentative: Range<usize>,
 }
 
 /// How a non-constant live-in is restored: its slot, or an expression plus
-/// the sites whose checkpoints the expression's slot leaves read.
+/// the range of the dependency list holding the sites whose checkpoints the
+/// expression's slot leaves read.
 enum Res {
     Slot,
-    Expr(RematExpr, Vec<SiteId>),
+    Expr(RematExpr, Range<usize>),
 }
 
 /// Slices of `f`'s boundaries, plus the checkpoints to delete per block.
@@ -117,6 +126,8 @@ fn prune_function(
     // Round 1: per boundary, resolve constants; everything else is
     // tentatively slot-backed. Collect the optimistic slot-needed set.
     let mut boundaries: Vec<Boundary> = Vec::new();
+    let mut consts: Vec<(Reg, Word)> = Vec::new();
+    let mut tentative: Vec<Reg> = Vec::new();
     let mut slot_all = SiteSet::new(&rd);
     let mut live_at: Vec<(RegionId, usize, RegSet)> = Vec::new();
     for (bid, _) in f.iter_blocks() {
@@ -126,8 +137,7 @@ fn prune_function(
             }
         });
         for (id, i, live) in live_at.drain(..).rev() {
-            let mut consts = Vec::new();
-            let mut tentative = Vec::new();
+            let (consts_from, tentative_from) = (consts.len(), tentative.len());
             for r in live.iter() {
                 let sites = rd.at(bid, i, r);
                 let constv = match sites.single() {
@@ -146,8 +156,8 @@ fn prune_function(
                 id,
                 bid,
                 idx: i,
-                consts,
-                tentative,
+                consts: consts_from..consts.len(),
+                tentative: tentative_from..tentative.len(),
             });
         }
     }
@@ -156,68 +166,76 @@ fn prune_function(
     // when every reaching definition of `s` at the read point is in the
     // (current) slot-needed set and `s` is not redefined on the way to
     // the boundary. Record each expression's leaf dependencies.
+    // `resolutions[k]` restores `tentative[k]`.
     let mut walk = RegionWalk {
         entered: vec![false; f.blocks.len()],
         touched: Vec::new(),
         work: Vec::new(),
     };
     let mut region_defs = RegSet::new(f.reg_count as usize);
-    let mut resolutions: Vec<Vec<(Reg, Res)>> = Vec::new();
+    let mut deps: Vec<SiteId> = Vec::new();
+    let mut leaves: Vec<Reg> = Vec::new();
+    let mut resolutions: Vec<Res> = Vec::with_capacity(tentative.len());
     for b in &boundaries {
         let upgrade = prune && expr_remat && !b.tentative.is_empty();
-        if upgrade {
-            // Registers the region *starting at this boundary* may define:
-            // their checkpoint slots can be overwritten in place while the
-            // region is the (unlogged) head, so no expression leaf may read
-            // them (the bug class the crash property tests hunt for).
-            region_defined_regs(f, b.bid, b.idx, &mut walk, &mut region_defs);
+        if !upgrade {
+            resolutions.extend(b.tentative.clone().map(|_| Res::Slot));
+            continue;
         }
-        let cx = upgrade.then_some(ExprCx {
+        // Registers the region *starting at this boundary* may define:
+        // their checkpoint slots can be overwritten in place while the
+        // region is the (unlogged) head, so no expression leaf may read
+        // them (the bug class the crash property tests hunt for).
+        region_defined_regs(f, b.bid, b.idx, &mut walk, &mut region_defs);
+        let cx = ExprCx {
             f,
             rd: &rd,
             memo: &memo,
             slot_all: &slot_all,
             region_defs: &region_defs,
             boundary: (b.bid, b.idx),
-        });
-        let per = b
-            .tentative
-            .iter()
-            .map(|&r| {
-                let res = cx
-                    .as_ref()
-                    .and_then(|cx| cx.build_expr(r))
-                    .map_or(Res::Slot, |(e, deps)| Res::Expr(e, deps));
-                (r, res)
-            })
-            .collect();
-        resolutions.push(per);
+        };
+        for &r in &tentative[b.tentative.clone()] {
+            let from = deps.len();
+            let res = match cx.build_expr(r, &mut deps, &mut leaves) {
+                Some(e) => Res::Expr(e, from..deps.len()),
+                None => {
+                    deps.truncate(from);
+                    Res::Slot
+                }
+            };
+            resolutions.push(res);
+        }
     }
 
     // Fixpoint: recompute the keep-set from the current resolutions and
     // demote any expression whose leaves lost their backing.
-    let keep = loop {
-        let mut keep = SiteSet::new(&rd);
-        for (b, per) in boundaries.iter().zip(&resolutions) {
-            for (r, res) in per {
+    let mut keep = SiteSet::new(&rd);
+    loop {
+        keep.clear();
+        for b in &boundaries {
+            for (r, res) in tentative[b.tentative.clone()]
+                .iter()
+                .zip(&resolutions[b.tentative.clone()])
+            {
                 if matches!(res, Res::Slot) {
                     rd.at(b.bid, b.idx, *r).iter().for_each(|s| keep.insert(s));
                 }
             }
         }
         let mut changed = false;
-        for (_, res) in resolutions.iter_mut().flatten() {
-            if let Res::Expr(_, deps) = res {
-                if !deps.iter().all(|&s| keep.contains(s)) {
+        for res in &mut resolutions {
+            if let Res::Expr(_, range) = res {
+                if !deps[range.clone()].iter().all(|&s| keep.contains(s)) {
                     *res = Res::Slot;
                     changed = true;
                 }
             }
         }
         if !changed {
-            break keep;
+            break;
         }
-    };
+    }
     // The final keep-set decides checkpoint deletion.
     let dead = if prune {
         unneeded_ckpts(f, &rd, &keep)
@@ -226,28 +244,31 @@ fn prune_function(
     };
 
     // Emit slices.
+    let mut resolutions = resolutions.into_iter();
     let slices = boundaries
         .iter()
-        .zip(resolutions)
-        .map(|(b, per)| {
-            let mut slice = RecoverySlice::default();
-            for &(r, c) in &b.consts {
+        .map(|b| {
+            let mut restores = Vec::with_capacity(b.consts.len() + b.tentative.len());
+            for &(r, c) in &consts[b.consts.clone()] {
                 info.const_restores += 1;
-                slice.restores.push((r, RsSource::Const(c)));
+                restores.push((r, RsSource::Const(c)));
             }
-            for (r, res) in per {
+            for (&r, res) in tentative[b.tentative.clone()]
+                .iter()
+                .zip(resolutions.by_ref())
+            {
                 match res {
                     Res::Slot => {
                         info.slot_restores += 1;
-                        slice.restores.push((r, RsSource::Slot));
+                        restores.push((r, RsSource::Slot));
                     }
                     Res::Expr(e, _) => {
                         info.expr_restores += 1;
-                        slice.restores.push((r, RsSource::Expr(e)));
+                        restores.push((r, RsSource::Expr(e)));
                     }
                 }
             }
-            (b.id, slice)
+            (b.id, RecoverySlice { restores })
         })
         .collect();
     (slices, dead)
@@ -266,22 +287,27 @@ struct ExprCx<'a> {
 
 impl ExprCx<'_> {
     /// Try to build a rematerialization expression for `r` at the boundary.
-    /// Returns the expression plus the definition sites whose checkpoints
-    /// its slot leaves depend on.
-    fn build_expr(&self, r: Reg) -> Option<(RematExpr, Vec<SiteId>)> {
+    /// Appends the definition sites whose checkpoints its slot leaves depend
+    /// on to `deps` (possibly also on failure, which the caller undoes);
+    /// `leaves` is scratch.
+    fn build_expr(
+        &self,
+        r: Reg,
+        deps: &mut Vec<SiteId>,
+        leaves: &mut Vec<Reg>,
+    ) -> Option<RematExpr> {
         let (b, i) = self.boundary;
         let site = self.rd.at(b, i, r).single()?;
-        let mut deps = Vec::new();
-        let expr = self.expr_for_site(site, r, &mut deps, 0)?;
+        let expr = self.expr_for_site(site, r, deps, 0)?;
         if expr.size() > MAX_EXPR_NODES || matches!(expr, RematExpr::Slot(_)) {
             return None;
         }
-        let mut leaves = Vec::new();
-        expr.slot_leaves(&mut leaves);
+        leaves.clear();
+        expr.slot_leaves(leaves);
         if leaves.contains(&r) {
             return None;
         }
-        Some((expr, deps))
+        Some(expr)
     }
 
     fn expr_for_site(

@@ -27,7 +27,7 @@ use cwsp_ir::function::{BlockId, Function};
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
 use cwsp_ir::types::RegionId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Limits for path enumeration inside a region tree. If exceeded, the
 /// offending fork targets receive structural boundaries and enumeration is
@@ -59,9 +59,9 @@ pub fn form_regions(module: &mut Module) -> RegionInfo {
     let mut info = RegionInfo::default();
     for fid in 0..module.function_count() {
         let fid = cwsp_ir::module::FuncId(fid as u32);
-        // Work on a clone so the alias analysis can consult the module's
-        // global table while the function is being rewritten.
-        let mut f = module.function(fid).clone();
+        // Take the function out while it is rewritten, so the alias
+        // analysis can consult the module's global table meanwhile.
+        let mut f = std::mem::take(module.function_mut(fid));
         let (structural, cuts) = form_function(&mut f, module);
         *module.function_mut(fid) = f;
         info.structural += structural;
@@ -153,29 +153,23 @@ fn form_function(f: &mut Function, module: &Module) -> (usize, usize) {
 
 /// Insert `Boundary` placeholders before each `(block, idx)` position.
 fn insert_boundaries(f: &mut Function, positions: &BTreeSet<(u32, usize)>) {
-    let mut by_block: HashMap<u32, Vec<usize>> = HashMap::new();
-    for &(b, i) in positions {
-        by_block.entry(b).or_default().push(i);
-    }
-    for (b, mut idxs) in by_block {
-        idxs.sort_unstable();
-        idxs.dedup();
+    // Last position first, so each insertion leaves the indices of the
+    // positions still to come in its block unshifted.
+    for &(b, i) in positions.iter().rev() {
         let insts = &mut f.blocks[b as usize].insts;
-        for &i in idxs.iter().rev() {
-            // Never insert after the terminator (positions always point at an
-            // existing non-terminator instruction).
-            debug_assert!(i < insts.len(), "boundary position past block end");
-            let i = i.min(insts.len() - 1);
-            if matches!(insts.get(i), Some(Inst::Boundary { .. })) {
-                continue; // already a boundary here
-            }
-            insts.insert(
-                i,
-                Inst::Boundary {
-                    id: RegionId(u32::MAX),
-                },
-            );
+        // Never insert after the terminator (positions always point at an
+        // existing non-terminator instruction).
+        debug_assert!(i < insts.len(), "boundary position past block end");
+        let i = i.min(insts.len() - 1);
+        if matches!(insts.get(i), Some(Inst::Boundary { .. })) {
+            continue; // already a boundary here
         }
+        insts.insert(
+            i,
+            Inst::Boundary {
+                id: RegionId(u32::MAX),
+            },
+        );
     }
 }
 
@@ -226,20 +220,36 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
     let mut last_use: Vec<usize> = vec![UNUSED; f.reg_count as usize];
     let mut used: Vec<usize> = Vec::new();
     let mut st = PathState::new(module);
+    // Scratch reused by every root: the enumerated paths, back to back in
+    // `path_buf` with `path_ends[k]` closing path `k`; the DFS stack of
+    // forks, each a position and the length of the trace it continues;
+    // the current trace; and one path's loads and WAR intervals.
+    let mut path_buf: Vec<PathPos> = Vec::new();
+    let mut path_ends: Vec<usize> = Vec::new();
+    let mut stack: Vec<(PathPos, usize)> = Vec::new();
+    let mut trace: Vec<PathPos> = Vec::new();
+    let mut loads: Vec<(usize, crate::alias::AbstractAddr)> = Vec::new();
+    let mut intervals: Vec<(usize, usize)> = Vec::new();
 
     for root in roots {
-        // Enumerate root-to-leaf paths of this region tree (bounded DFS).
-        let mut paths: Vec<Vec<PathPos>> = Vec::new();
-        let mut stack: Vec<(PathPos, Vec<PathPos>)> = vec![(root, Vec::new())];
-        'dfs: while let Some((mut pos, mut trace)) = stack.pop() {
+        // Enumerate root-to-leaf paths of this region tree (bounded DFS). A
+        // fork resumes after every path forked later has finished; those
+        // only appended past its trace length, so truncating the trace
+        // restores the fork's own prefix.
+        path_buf.clear();
+        path_ends.clear();
+        trace.clear();
+        stack.push((root, 0));
+        'dfs: while let Some((mut pos, len)) = stack.pop() {
+            trace.truncate(len);
             loop {
-                if trace.len() >= MAX_PATH_LEN || paths.len() >= MAX_PATHS_PER_ROOT {
+                if trace.len() >= MAX_PATH_LEN || path_ends.len() >= MAX_PATHS_PER_ROOT {
                     overflow.push(pos.block);
+                    stack.clear();
                     break 'dfs;
                 }
                 let insts = &f.block(pos.block).insts;
                 let Some(inst) = insts.get(pos.idx) else {
-                    paths.push(trace);
                     break;
                 };
                 match inst {
@@ -248,13 +258,11 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                         // stores belong to the tiny pre-call region rooted at
                         // the structural boundary, which is its own root.
                         trace.push(pos);
-                        paths.push(trace);
                         break;
                     }
                     Inst::Br { target } => {
                         trace.push(pos);
                         if at_boundary_entry(f, *target) {
-                            paths.push(trace);
                             break;
                         }
                         pos = PathPos {
@@ -267,13 +275,11 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                     } => {
                         trace.push(pos);
                         if !at_boundary_entry(f, *if_false) {
-                            stack.push((
-                                PathPos {
-                                    block: *if_false,
-                                    idx: 0,
-                                },
-                                trace.clone(),
-                            ));
+                            let fork = PathPos {
+                                block: *if_false,
+                                idx: 0,
+                            };
+                            stack.push((fork, trace.len()));
                         }
                         if !at_boundary_entry(f, *if_true) {
                             pos = PathPos {
@@ -284,12 +290,10 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                         }
                         // The true arm ends the region here; record the path
                         // (the false arm, if it continues, was forked above).
-                        paths.push(trace);
                         break;
                     }
                     Inst::Ret { .. } | Inst::Halt => {
                         trace.push(pos);
-                        paths.push(trace);
                         break;
                     }
                     _ => {
@@ -298,20 +302,25 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
                     }
                 }
             }
+            path_buf.extend_from_slice(&trace);
+            path_ends.push(path_buf.len());
         }
         if !overflow.is_empty() {
             continue;
         }
 
         // Analyze each path: collect WAR intervals, then stab greedily.
-        for path in &paths {
+        let mut start = 0;
+        for &end in &path_ends {
+            let path = &path_buf[start..end];
+            start = end;
             st.reset();
             // loads: (path position index, abstract address)
-            let mut loads: Vec<(usize, crate::alias::AbstractAddr)> = Vec::new();
+            loads.clear();
             // intervals (lo, hi]: a cut strictly after path position lo and at
             // or before hi breaks the pair. Cut at path position p means
             // "insert before the instruction at path[p]".
-            let mut intervals: Vec<(usize, usize)> = Vec::new();
+            intervals.clear();
 
             for (p, pos) in path.iter().enumerate() {
                 let inst = &f.block(pos.block).insts[pos.idx];
@@ -367,7 +376,7 @@ fn antidep_cuts(f: &Function, module: &Module) -> Result<BTreeSet<(u32, usize)>,
             // the right endpoint of the first unhit interval.
             intervals.sort_by_key(|&(_, hi)| hi);
             let mut last_cut: Option<usize> = None;
-            for (lo, hi) in intervals {
+            for &(lo, hi) in &intervals {
                 if let Some(c) = last_cut {
                     if c > lo && c <= hi {
                         continue; // already hit

@@ -42,7 +42,7 @@ impl Block {
 ///
 /// Registers `r0..r{param_count}` hold the arguments on entry (loaded from the
 /// caller's stack frame, see [`crate::inst::Inst::Call`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Function {
     /// Human-readable name (diagnostics and pretty-printing only).
     pub name: String,

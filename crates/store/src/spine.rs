@@ -473,20 +473,35 @@ fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+/// Bytes of a batch file before its first entry: magic, level, reserved
+/// word and entry count.
+const BATCH_HEADER: u64 = 24;
+/// Bytes of an entry before its value: key kind, two key words, sequence
+/// number and value length.
+const ENTRY_HEADER: u64 = 40;
+
 fn read_batch(path: &Path, name: &str) -> io::Result<Batch> {
-    let mut r = io::BufReader::new(File::open(path)?);
+    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+    let file = File::open(path)?;
+    // Every count and length read below is bounded by the bytes the file
+    // has left, so a corrupt header cannot ask for an allocation larger
+    // than the file itself (an allocation failure aborts; it cannot be
+    // caught).
+    let mut left = file.metadata()?.len();
+    let mut r = io::BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
     let mut lvl = [0u8; 4];
     r.read_exact(&mut lvl)?;
     let level = u32::from_le_bytes(lvl);
     r.read_exact(&mut lvl)?; // reserved
     let count = read_u64(&mut r)?;
-    if count > 1 << 32 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "absurd count"));
+    left = left.saturating_sub(BATCH_HEADER);
+    if count > left / ENTRY_HEADER {
+        return Err(invalid("entry count exceeds the file size"));
     }
     let mut entries = Vec::with_capacity(count as usize);
     let (mut min_seq, mut max_seq) = (u64::MAX, 0);
@@ -496,9 +511,11 @@ fn read_batch(path: &Path, name: &str) -> io::Result<Batch> {
         let b = read_u64(&mut r)?;
         let seq = read_u64(&mut r)?;
         let len = read_u64(&mut r)?;
-        if len > 1 << 32 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "absurd len"));
+        left = left.saturating_sub(ENTRY_HEADER);
+        if len > left {
+            return Err(invalid("entry length exceeds the file size"));
         }
+        left -= len;
         let mut value = vec![0u8; len as usize];
         r.read_exact(&mut value)?;
         min_seq = min_seq.min(seq);
@@ -510,7 +527,7 @@ fn read_batch(path: &Path, name: &str) -> io::Result<Batch> {
         });
     }
     if entries.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "empty batch"));
+        return Err(invalid("empty batch"));
     }
     Ok(Batch {
         file: name.to_string(),
@@ -744,6 +761,48 @@ mod tests {
         let r = Spine::open(&dir).unwrap();
         assert_eq!(r.get(k(1)), Some(&b"good"[..]), "good batch still loads");
         assert_eq!(r.batches().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A batch whose entry count or value length is corrupted to a huge
+    /// number is rejected as invalid data before anything that size is
+    /// allocated, and `open` skips it.
+    #[test]
+    fn corrupt_count_or_length_is_invalid_data() {
+        let dir = tmpdir("corrupt");
+        let mut s = Spine::open(&dir).unwrap();
+        s.commit(vec![(k(1), b"good".to_vec()), (k(2), b"also".to_vec())])
+            .unwrap();
+        let name = s.batches()[0].file.clone();
+        let path = dir.join(&name);
+        let pristine = fs::read(&path).unwrap();
+        // Offsets: the count follows the 16-byte magic/level/reserved
+        // prefix; the first entry's length is the fifth word after it.
+        let count_at = 16;
+        let len_at = (BATCH_HEADER + 32) as usize;
+        for (at, value) in [
+            (count_at, u64::MAX),
+            (count_at, 1 << 32),
+            (count_at, 3),
+            (len_at, u64::MAX),
+            (len_at, 1 << 32),
+            (len_at, pristine.len() as u64),
+        ] {
+            let mut bytes = pristine.clone();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = read_batch(&path, &name).expect_err("corrupt batch is rejected");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{at}: {value:#x}: {err}"
+            );
+            let reopened = Spine::open(&dir).unwrap();
+            assert!(reopened.batches().is_empty(), "{at}: {value:#x}");
+        }
+        fs::write(&path, &pristine).unwrap();
+        let r = Spine::open(&dir).unwrap();
+        assert_eq!(r.get(k(2)), Some(&b"also"[..]), "the pristine batch loads");
         let _ = fs::remove_dir_all(&dir);
     }
 

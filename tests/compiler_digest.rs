@@ -1,12 +1,14 @@
 //! Pinned compiler output.
 //!
 //! Every module of a fixed corpus — the 38 apps, `multicore::all(4)`, seeded
-//! genprog modules with and without calls, and seeded concurrent modules — is
+//! genprog modules with and without calls, seeded concurrent modules, and
+//! seeded wide genprog modules whose `main` has more than 300 registers — is
 //! compiled under the default options, and the compiled module, its recovery
 //! slice table and its static statistics are folded into one 64-bit digest.
 //! The digests in `tests/compiler_digests.txt` were recorded from the
-//! compiler as it stood before its dataflow analyses were rewritten; any
-//! change to what the compiler emits shows here as a mismatch.
+//! compiler as it stood before its dataflow analyses were rewritten (the
+//! wide modules' before its register sets moved inline); any change to what
+//! the compiler emits shows here as a mismatch.
 //!
 //! The digest is FNV-1a over the `Debug` text of the module, the slice table
 //! sorted by region id (a `SliceTable` iterates in hash order, which differs
@@ -23,6 +25,11 @@ const PINNED: &str = include_str!("compiler_digests.txt");
 /// Seeds of the genprog corpus, per generator.
 const GEN_SEEDS: u64 = 200;
 const CONC_SEEDS: u64 = 60;
+const WIDE_SEEDS: u64 = 4;
+
+/// Straight-line segments of a wide module's `main`: about 400 registers,
+/// more than a register set holds inline.
+const WIDE_SEGMENTS: usize = 200;
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -69,6 +76,15 @@ fn corpus() -> Vec<(String, Module)> {
             format!("concurrent/{seed}"),
             generate_concurrent(&ConcSpec::default(), seed),
         ));
+    }
+    let wide = ProgramSpec {
+        segments: WIDE_SEGMENTS,
+        ..Default::default()
+    };
+    for seed in 0..WIDE_SEEDS {
+        let m = generate(&wide, seed);
+        assert!(m.iter_functions().any(|(_, f)| f.reg_count > 300));
+        out.push((format!("genprog/wide/{seed}"), m));
     }
     out
 }
